@@ -25,11 +25,15 @@ type QueryBudget struct {
 }
 
 // MatchResult is the outcome of a budgeted broad match. Truncated
-// results are always a correct prefix of the work: every returned ad is
-// a fully verified match and the slice is ID-ordered, so a truncated
+// results are always a correct prefix of the work: every match is fully
+// verified and, without a Selection, Ads is ID-ordered, so a truncated
 // answer is a subset of the full answer — never wrong, only incomplete.
 type MatchResult struct {
+	// Ads holds every match in ID order, or with a Selection the auction
+	// winners in rank order.
 	Ads []Ad
+	// Matched counts the matches before selection.
+	Matched int
 	// Truncated reports that the budget (cost or deadline) exhausted
 	// before enumeration completed; Ads holds the partial results.
 	Truncated bool
@@ -85,32 +89,54 @@ func (s *snapshot) appendBroadMatchBudget(dst []*corpus.Ad, queryWords []string,
 	return dst
 }
 
+// Search is the broad-match query path: it tokenizes query once, matches
+// it under qb, and with a non-nil sel runs the auction over the matches
+// before anything is copied out, so only the winners are deep-copied
+// (SelectAds over the full ID-ordered match list picks the same ads).
+// With a nil sel, Ads holds every match in ID order. counters, when
+// non-nil, accumulates the match's memory-access accounting.
+func (v View) Search(query string, qb QueryBudget, sel *Selection, counters *Counters) MatchResult {
+	sc := getScratch()
+	sc.budget = core.Budget{MaxCost: qb.MaxCost, Deadline: qb.Deadline, Now: qb.Now}
+	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
+	sc.matches = v.s.appendBroadMatchBudget(sc.matches[:0], sc.words, counters, &sc.core, &sc.budget)
+	res := MatchResult{
+		Matched:       len(sc.matches),
+		Truncated:     sc.budget.Exhausted(),
+		CutoffApplied: sc.budget.CutoffApplied(),
+		CostSpent:     sc.budget.Spent(),
+	}
+	if sel == nil {
+		res.Ads = copyMatches(sc.matches)
+	} else {
+		a := sc.startAuction(sel)
+		for i, m := range sc.matches[:res.Matched] {
+			a.offer(m, rankKey{score: sel.score(&m.Meta), id: m.ID, pos: i})
+		}
+		// The winners' pointers go after the matches, in rank order.
+		for _, k := range a.winners() {
+			sc.matches = append(sc.matches, sc.matches[k.pos])
+		}
+		res.Ads = appendAdCopies(make([]Ad, 0, len(sc.matches)-res.Matched), sc.matches[res.Matched:])
+	}
+	sc.budget = core.Budget{} // drop the caller's clock func before pooling
+	putScratch(sc)
+	return res
+}
+
 // BroadMatchBudget is BroadMatch under a cost/deadline budget. On
 // exhaustion it returns the partial matches accumulated so far with
 // Truncated set; the partial set is ID-ordered and every element is a
 // true match. A zero QueryBudget matches without bound (and still
 // reports CutoffApplied, surfacing the MaxQueryWords drop).
 func (v View) BroadMatchBudget(query string, qb QueryBudget) MatchResult {
-	return v.BroadMatchBudgetCounted(query, qb, nil)
+	return v.Search(query, qb, nil, nil)
 }
 
 // BroadMatchBudgetCounted is BroadMatchBudget with memory-access
-// accounting: the serving layer uses the counters to attribute modeled
-// cost per query (RecordQueryCost) without paying for a second match.
+// accounting.
 func (v View) BroadMatchBudgetCounted(query string, qb QueryBudget, counters *Counters) MatchResult {
-	sc := getScratch()
-	sc.budget = core.Budget{MaxCost: qb.MaxCost, Deadline: qb.Deadline, Now: qb.Now}
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = v.s.appendBroadMatchBudget(sc.matches[:0], sc.words, counters, &sc.core, &sc.budget)
-	res := MatchResult{
-		Ads:           copyMatches(sc.matches),
-		Truncated:     sc.budget.Exhausted(),
-		CutoffApplied: sc.budget.CutoffApplied(),
-		CostSpent:     sc.budget.Spent(),
-	}
-	sc.budget = core.Budget{} // drop the caller's clock func before pooling
-	putScratch(sc)
-	return res
+	return v.Search(query, qb, nil, counters)
 }
 
 // BroadMatchBudget is View.BroadMatchBudget on the current snapshot.

@@ -1,6 +1,7 @@
 package adindex
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -115,4 +116,54 @@ func TestBroadMatchBudgetCutoffSurfaced(t *testing.T) {
 	if res.CutoffApplied || res.Truncated {
 		t.Fatalf("short query flagged: %+v", res)
 	}
+}
+
+// TestSearchAllocsIndependentOfMatchCount: with a bounded auction only
+// the winners are copied out, so a query matching 600 ads allocates no
+// more often than one matching 5, and its bytes stay within a small
+// multiple (8 winners against 5, plus pool refills after a collection),
+// where copying every match out first costs bytes in proportion to the
+// match count (here ~100 times as many).
+func TestSearchAllocsIndependentOfMatchCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
+	}
+	var ads []Ad
+	for i := 0; i < 600; i++ {
+		meta := Meta{BidMicros: int64(1 + i%97), ClickRate: uint16(i % 7)}
+		if i%5 == 0 {
+			meta.Exclusions = []string{"free shipping"}
+		}
+		ads = append(ads, NewAd(uint64(i+1), "running shoes", meta))
+	}
+	for i := 0; i < 5; i++ {
+		ads = append(ads, NewAd(uint64(1000+i), "hiking boots", Meta{BidMicros: int64(10 + i)}))
+	}
+	view := Build(ads, Options{}).View()
+	sel := &Selection{MaxResults: 8}
+	search := func(q string) func() {
+		return func() { view.Search(q, QueryBudget{}, sel, nil) }
+	}
+	big, small := search("red running shoes"), search("red hiking boots")
+	if m := view.Search("red running shoes", QueryBudget{}, sel, nil).Matched; m != 600 {
+		t.Fatalf("big query matched %d, want 600", m)
+	}
+	if a, b := testing.AllocsPerRun(200, big), testing.AllocsPerRun(200, small); a > b {
+		t.Fatalf("600 matches: %.1f allocs/op, 5 matches: %.1f allocs/op", a, b)
+	}
+	if a, b := bytesPerRun(200, big), bytesPerRun(200, small); a > 4*b {
+		t.Fatalf("600 matches: %d B/op, 5 matches: %d B/op", a, b)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for allocated bytes.
+func bytesPerRun(runs int, f func()) uint64 {
+	f() // warm the scratch pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

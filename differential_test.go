@@ -28,9 +28,13 @@ const (
 
 // diffCorpus builds one adversarial corpus: a mix of short phrases,
 // phrases with duplicated words, exact-boundary and over-boundary
-// phrases, and exclusion metadata; some ads are duplicates of earlier
-// ones under new IDs, and a slice of the corpus is deleted again so the
-// snapshot is taken over a folded base with tombstoned sets.
+// phrases, and exclusion metadata (single words and multi-word phrases
+// drawn from the query vocabulary, so they hit queries) with few
+// distinct bids and click rates, so auction ties are common; some ads are
+// duplicates of earlier ones under new IDs. The first half is built into
+// the base and the rest inserted into the overlay, and a slice of the
+// corpus is deleted again, so queries see base tombstones and overlay
+// inserts alike.
 func diffCorpus(seed int64) (*Index, []corpus.Ad, *rand.Rand) {
 	rng := rand.New(rand.NewSource(seed))
 	vocab := corpus.MakeVocabulary(30)
@@ -65,9 +69,12 @@ func diffCorpus(seed int64) (*Index, []corpus.Ad, *rand.Rand) {
 				toks = append(toks, pick())
 			}
 		}
-		meta := corpus.Meta{BidMicros: int64(1+rng.Intn(5)) * 1000}
-		if rng.Intn(3) == 0 {
+		meta := corpus.Meta{BidMicros: int64(1+rng.Intn(5)) * 1000, ClickRate: uint16(rng.Intn(3))}
+		switch rng.Intn(6) {
+		case 0, 1:
 			meta.Exclusions = []string{pick()}
+		case 2:
+			meta.Exclusions = []string{pick() + " " + pick(), pick()}
 		}
 		add(strings.Join(toks, " "), meta)
 	}
@@ -77,11 +84,11 @@ func diffCorpus(seed int64) (*Index, []corpus.Ad, *rand.Rand) {
 		add(src.Phrase, corpus.Meta{BidMicros: int64(1+rng.Intn(5)) * 1000})
 	}
 
-	ix := New(Options{MaxWords: diffMaxWords})
-	for _, ad := range ads {
+	ix := Build(ads[:len(ads)/2], Options{MaxWords: diffMaxWords})
+	for _, ad := range ads[len(ads)/2:] {
 		ix.Insert(ad)
 	}
-	// Delete a slice so the snapshot folds over tombstones.
+	// Delete a slice: base records become tombstones, overlay ads leave.
 	live := ads[:0:0]
 	for i := range ads {
 		if rng.Intn(6) == 0 {
@@ -205,4 +212,69 @@ func summarize(ads []Ad) []string {
 		out[i] = fmt.Sprintf("%d:%q", ads[i].ID, ads[i].Phrase)
 	}
 	return out
+}
+
+// TestDifferentialSearchVsSelectAds: View.Search, which runs the auction
+// over match pointers before copy-out, picks exactly the winners SelectAds
+// picks from BroadMatchBudget's full copied list, under every selection
+// shape and budget, over base tombstones, overlay inserts, exclusions that
+// hit the query, budget truncation and the MaxQueryWords cutoff.
+func TestDifferentialSearchVsSelectAds(t *testing.T) {
+	vocab := corpus.MakeVocabulary(30)
+	sels := []Selection{
+		{},
+		{MaxResults: 1},
+		{MaxResults: 3, RankByExpectedRevenue: true},
+		{MaxResults: 8, MinBidMicros: 3000},
+		{MaxResults: 1000, ExcludeShown: map[uint64]bool{3: true, 7: true, 11: true}},
+	}
+	budgets := []int64{0, 1, 4, 16}
+	tombs, delta, truncated, cut := 0, 0, 0, 0
+	for seed := int64(0); seed < diffCorpora; seed++ {
+		ix, live, rng := diffCorpus(seed)
+		s := ix.snap.Load()
+		tombs += len(s.tombs)
+		delta += len(s.delta)
+		queries := diffQueries(live, rng)
+		// Long queries: past MaxQueryWords (12), so the cutoff drops words.
+		for i := 0; i < 3; i++ {
+			toks := append([]string(nil), vocab[:13+i]...)
+			rng.Shuffle(len(toks), func(a, b int) { toks[a], toks[b] = toks[b], toks[a] })
+			queries = append(queries, strings.Join(toks, " "))
+		}
+		view := ix.View()
+		for _, q := range queries {
+			for _, maxCost := range budgets {
+				qb := QueryBudget{MaxCost: maxCost}
+				full := view.BroadMatchBudget(q, qb)
+				if full.Matched != len(full.Ads) {
+					t.Fatalf("seed %d %q budget %d: Matched %d, %d ads", seed, q, maxCost, full.Matched, len(full.Ads))
+				}
+				if full.Truncated {
+					truncated++
+				}
+				if full.CutoffApplied {
+					cut++
+				}
+				for _, sel := range sels {
+					got := view.Search(q, qb, &sel, nil)
+					want := SelectAds(q, full.Ads, sel)
+					if !reflect.DeepEqual(got.Ads, want) {
+						t.Fatalf("seed %d %q budget %d %+v: Search winners %v, SelectAds %v",
+							seed, q, maxCost, sel, summarize(got.Ads), summarize(want))
+					}
+					if got.Matched != full.Matched || got.Truncated != full.Truncated ||
+						got.CutoffApplied != full.CutoffApplied || got.CostSpent != full.CostSpent {
+						t.Fatalf("seed %d %q budget %d %+v: Search reports %d/%v/%v/%d, BroadMatchBudget %d/%v/%v/%d",
+							seed, q, maxCost, sel, got.Matched, got.Truncated, got.CutoffApplied, got.CostSpent,
+							full.Matched, full.Truncated, full.CutoffApplied, full.CostSpent)
+					}
+				}
+			}
+		}
+	}
+	if tombs == 0 || delta == 0 || truncated == 0 || cut == 0 {
+		t.Fatalf("corpora missed a case: %d tombstones, %d overlay ads, %d truncated, %d cut queries",
+			tombs, delta, truncated, cut)
+	}
 }

@@ -22,7 +22,8 @@
 //
 // Exact-match and phrase-match retrieval are available through ExactMatch
 // and PhraseMatch; SelectAds applies the secondary auction filters
-// (exclusion keywords, bid floors, ranking).
+// (exclusion keywords, bid floors, ranking). View.Search runs a budgeted
+// broad match and the auction in one call, copying out only the winners.
 //
 // # Workload adaptation
 //

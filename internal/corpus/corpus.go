@@ -50,43 +50,6 @@ type Meta struct {
 	// Exclusions are negative keywords: if any appears in the query, the
 	// ad must be filtered out after retrieval.
 	Exclusions []string
-
-	// exclusionSets caches the canonical word set of each exclusion so the
-	// auction filter does not re-tokenize per query. It is populated by
-	// RefreshExclusionSets at result copy-out time (never during parsing or
-	// decoding), so two Ads for the same listing built through different
-	// paths still compare equal under reflect.DeepEqual when both sides
-	// went through a copy-out path — or neither did.
-	exclusionSets [][]string
-}
-
-// RefreshExclusionSets recomputes the cached canonical word set of each
-// exclusion. Call after Exclusions changes; with no exclusions the cache
-// is nil.
-func (m *Meta) RefreshExclusionSets() {
-	if len(m.Exclusions) == 0 {
-		m.exclusionSets = nil
-		return
-	}
-	sets := make([][]string, len(m.Exclusions))
-	for i, e := range m.Exclusions {
-		sets[i] = textnorm.WordSet(e)
-	}
-	m.exclusionSets = sets
-}
-
-// ExclusionSets returns the canonical word set of each exclusion, using
-// the cache when RefreshExclusionSets has populated it and computing
-// fresh (without mutating the receiver) otherwise.
-func (m *Meta) ExclusionSets() [][]string {
-	if m.exclusionSets != nil || len(m.Exclusions) == 0 {
-		return m.exclusionSets
-	}
-	sets := make([][]string, len(m.Exclusions))
-	for i, e := range m.Exclusions {
-		sets[i] = textnorm.WordSet(e)
-	}
-	return sets
 }
 
 // NewAd builds an Ad from a raw phrase, normalizing it into a canonical

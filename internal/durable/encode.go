@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sort"
 
 	"adindex/internal/corpus"
 	"adindex/internal/textnorm"
@@ -208,8 +209,16 @@ func decodeAds(payload []byte) ([]corpus.Ad, error) {
 // locator mapping that layout optimization computed (M in the paper),
 // persisted so the Section-V placement survives restarts.
 func encodeMapping(mapping map[string][]string) []byte {
+	// Keys go out in sorted order so one mapping always encodes to the
+	// same bytes (a snapshot file and its stream must be identical).
+	keys := make([]string, 0, len(mapping))
+	for key := range mapping {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 	b := binary.AppendUvarint(nil, uint64(len(mapping)))
-	for key, loc := range mapping {
+	for _, key := range keys {
+		loc := mapping[key]
 		words := textnorm.SplitKey(key)
 		b = binary.AppendUvarint(b, uint64(len(words)))
 		for _, w := range words {

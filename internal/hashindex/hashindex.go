@@ -273,11 +273,6 @@ func (ix *Index) scanNode(data []byte, q []string, counters *costmodel.Counters,
 			counters.PhrasesChecked++
 		}
 		if textnorm.IsSubset(ad.Words, q) {
-			// Matches are handed to the auction layer; cache the exclusion
-			// word sets here so selection does not re-tokenize them (and so
-			// these ads compare equal to the uncompressed index's copies,
-			// which cache at the same point).
-			ad.Meta.RefreshExclusionSets()
 			matches = append(matches, ad)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"testing"
 
 	"adindex"
@@ -95,5 +96,50 @@ func TestSearchBatchValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET batch status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSearchAndBatchShareCacheEntries: /search and /search/batch share
+// cache keys, so whichever endpoint fills an entry, the other reads the
+// same answer from it, with and without an auction Selection.
+func TestSearchAndBatchShareCacheEntries(t *testing.T) {
+	const q = "cheap used books"
+	for _, sel := range []*adindex.Selection{nil, {MaxResults: 2, MinBidMicros: 150}} {
+		s, ix, base := startTestServer(t, Config{Selection: sel})
+		viaSearch := func() (int, []uint64, bool) {
+			r := search(t, base, q, "")
+			return r.Matched, adIDs(r.Ads), r.Cached
+		}
+		viaBatch := func() (int, []uint64, bool) {
+			_, out := postBatch(t, base, batchRequest{Queries: []string{q}})
+			r := out.Results[0]
+			return r.Matched, adIDs(r.Ads), r.Cached
+		}
+		var want []uint64
+		for _, ad := range ix.BroadMatch(q) {
+			want = append(want, ad.ID)
+		}
+		if sel != nil {
+			want = adIDs(adindex.SelectAds(q, ix.BroadMatch(q), *sel))
+		}
+		for i, order := range [][2]func() (int, []uint64, bool){
+			{viaSearch, viaBatch}, {viaBatch, viaSearch},
+		} {
+			// A mutation moves the epoch, so the first call refills the entry.
+			ix.Insert(adindex.NewAd(uint64(100+i), "unrelated phrase", adindex.Meta{}))
+			for j, call := range order {
+				matched, ids, cached := call()
+				if cached != (j == 1) {
+					t.Fatalf("selection %v order %d call %d: cached = %v", sel, i, j, cached)
+				}
+				if matched != 4 || !slices.Equal(ids, want) {
+					t.Fatalf("selection %v order %d call %d: matched %d ads %v, want 4 and %v",
+						sel, i, j, matched, ids, want)
+				}
+			}
+		}
+		if hits, _, _ := s.cache.Stats(); hits != 2 {
+			t.Fatalf("selection %v: cache hits = %d, want 2", sel, hits)
+		}
 	}
 }

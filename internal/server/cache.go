@@ -1,5 +1,8 @@
-// Result cache: a sharded LRU over query results, keyed by the normalized
-// form of the query and tagged with the index mutation epoch.
+// Result cache: a sharded LRU over served answers, keyed by the normalized
+// form of the query and tagged with the index mutation epoch. An entry is
+// the answer as served: the ads returned (the auction winners when the
+// server has a Selection), the match count before selection, and the
+// MaxQueryWords cutoff flag, so a hit replies exactly as its miss did.
 //
 // Key choice. Broad match is insensitive to word order and duplicate
 // multiplicity beyond folding ("cheap used books" and "used cheap books"
@@ -26,11 +29,11 @@ import (
 	"adindex"
 )
 
-// cacheEntry is one cached query result.
+// cacheEntry is one cached query answer.
 type cacheEntry struct {
 	key   string
 	epoch uint64
-	ads   []adindex.Ad
+	res   adindex.MatchResult
 }
 
 type cacheShard struct {
@@ -99,9 +102,9 @@ func (c *Cache) shard(key string) *cacheShard {
 // Get returns the cached result for key if present and computed at the
 // given epoch. A present-but-stale entry is removed and counted as an
 // invalidation (and a miss).
-func (c *Cache) Get(key string, epoch uint64) ([]adindex.Ad, bool) {
+func (c *Cache) Get(key string, epoch uint64) (adindex.MatchResult, bool) {
 	if c == nil {
-		return nil, false
+		return adindex.MatchResult{}, false
 	}
 	s := c.shard(key)
 	s.mu.Lock()
@@ -109,7 +112,7 @@ func (c *Cache) Get(key string, epoch uint64) ([]adindex.Ad, bool) {
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
-		return nil, false
+		return adindex.MatchResult{}, false
 	}
 	ent := el.Value.(*cacheEntry)
 	if ent.epoch != epoch {
@@ -118,12 +121,12 @@ func (c *Cache) Get(key string, epoch uint64) ([]adindex.Ad, bool) {
 		s.mu.Unlock()
 		c.invalidations.Add(1)
 		c.misses.Add(1)
-		return nil, false
+		return adindex.MatchResult{}, false
 	}
 	s.lru.MoveToFront(el)
 	s.mu.Unlock()
 	c.hits.Add(1)
-	return ent.ads, true
+	return ent.res, true
 }
 
 // Put stores a result computed at the given epoch, evicting the shard's
@@ -132,7 +135,7 @@ func (c *Cache) Get(key string, epoch uint64) ([]adindex.Ad, bool) {
 // harmless in either direction: the entry is tagged with the epoch the
 // result was actually computed at, so a Get at any other epoch discards
 // it rather than serving it.
-func (c *Cache) Put(key string, epoch uint64, ads []adindex.Ad) {
+func (c *Cache) Put(key string, epoch uint64, res adindex.MatchResult) {
 	if c == nil {
 		return
 	}
@@ -140,7 +143,7 @@ func (c *Cache) Put(key string, epoch uint64, ads []adindex.Ad) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
-		el.Value = &cacheEntry{key: key, epoch: epoch, ads: ads}
+		el.Value = &cacheEntry{key: key, epoch: epoch, res: res}
 		s.lru.MoveToFront(el)
 		return
 	}
@@ -149,7 +152,7 @@ func (c *Cache) Put(key string, epoch uint64, ads []adindex.Ad) {
 		s.lru.Remove(oldest)
 		delete(s.items, oldest.Value.(*cacheEntry).key)
 	}
-	s.items[key] = s.lru.PushFront(&cacheEntry{key: key, epoch: epoch, ads: ads})
+	s.items[key] = s.lru.PushFront(&cacheEntry{key: key, epoch: epoch, res: res})
 }
 
 // Len returns the number of live entries (stale entries not yet touched by

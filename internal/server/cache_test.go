@@ -2,14 +2,19 @@ package server
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"adindex"
 )
 
-func ad(id uint64) []adindex.Ad {
-	return []adindex.Ad{adindex.NewAd(id, fmt.Sprintf("phrase %d", id), adindex.Meta{})}
+func ad(id uint64) adindex.MatchResult {
+	return adindex.MatchResult{
+		Ads:     []adindex.Ad{adindex.NewAd(id, fmt.Sprintf("phrase %d", id), adindex.Meta{})},
+		Matched: 1,
+	}
 }
 
 func TestCacheHitMiss(t *testing.T) {
@@ -19,7 +24,7 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 	c.Put("k", 0, ad(1))
 	got, ok := c.Get("k", 0)
-	if !ok || len(got) != 1 || got[0].ID != 1 {
+	if !ok || len(got.Ads) != 1 || got.Ads[0].ID != 1 || got.Matched != 1 {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 	hits, misses, inv := c.Stats()
@@ -110,7 +115,7 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", i%32)
 				epoch := uint64(i % 3)
-				if got, ok := c.Get(key, epoch); ok && len(got) != 1 {
+				if got, ok := c.Get(key, epoch); ok && len(got.Ads) != 1 {
 					t.Errorf("bad cached value for %s: %v", key, got)
 					return
 				}
@@ -119,4 +124,49 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCacheHitKeepsCutoff: a query cut by MaxQueryWords reports the
+// cutoff, and counts it, on its cache hit as on its miss.
+func TestCacheHitKeepsCutoff(t *testing.T) {
+	var ads []adindex.Ad
+	var words []string
+	for i := 0; i < 16; i++ {
+		w := fmt.Sprintf("w%02d", i)
+		words = append(words, w)
+		ads = append(ads, adindex.NewAd(uint64(i+1), w, adindex.Meta{BidMicros: int64(100 * (i%4 + 1))}))
+	}
+	for _, sel := range []*adindex.Selection{nil, {MaxResults: 3}} {
+		s := New(adindex.Build(ads, adindex.Options{}), Config{Selection: sel})
+		if err := s.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Shutdown(t.Context()) })
+		base := "http://" + s.Addr()
+
+		q := strings.Join(words, " ")
+		miss := search(t, base, q, "")
+		hit := search(t, base, q, "")
+		if miss.Cached || !hit.Cached {
+			t.Fatalf("selection %v: cached = %v then %v, want false then true", sel, miss.Cached, hit.Cached)
+		}
+		if !miss.CutoffApplied || !hit.CutoffApplied {
+			t.Fatalf("selection %v: cutoff_applied = %v on the miss, %v on the hit", sel, miss.CutoffApplied, hit.CutoffApplied)
+		}
+		if miss.Matched != hit.Matched || !slices.Equal(adIDs(miss.Ads), adIDs(hit.Ads)) {
+			t.Fatalf("selection %v: miss matched %d ads %v, hit matched %d ads %v",
+				sel, miss.Matched, adIDs(miss.Ads), hit.Matched, adIDs(hit.Ads))
+		}
+		if got := s.metrics.Cutoffs.Load(); got != 2 {
+			t.Fatalf("selection %v: Cutoffs = %d, want 2", sel, got)
+		}
+	}
+}
+
+func adIDs(ads []adindex.Ad) []uint64 {
+	ids := make([]uint64, len(ads))
+	for i := range ads {
+		ids[i] = ads[i].ID
+	}
+	return ids
 }

@@ -93,8 +93,8 @@ type Config struct {
 	Adapt bool
 	// Selection, when non-nil, applies the auction-side filters
 	// (exclusion keywords, bid floor, ranking, result cap) to matches
-	// before they are returned. Raw matches are what is cached, so the
-	// cache stays valid across selection-parameter changes.
+	// before they are returned. The cache stores the answer as served,
+	// winners included.
 	Selection *adindex.Selection
 	// ReadTimeout, WriteTimeout, and IdleTimeout configure the
 	// http.Server; zero values select 10s, 30s, and 120s.
@@ -530,72 +530,77 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// a different index state, so a stale result is never served.
 	view := ix.View()
 	epoch := view.Epoch()
-	matches, hit := s.cache.Get(key, epoch)
-	var truncated, cutoff bool
-	var costSpent int64
-	if !hit {
+	res, hit := s.cache.Get(key, epoch)
+	if hit {
+		res.CostSpent = 0 // a hit spends no index work
+	} else {
 		switch matchType {
 		case "exact":
-			matches = view.ExactMatch(q)
+			res = s.selectFrom(q, view.ExactMatch(q))
 		case "phrase":
-			matches = view.PhraseMatch(q)
+			res = s.selectFrom(q, view.PhraseMatch(q))
 		default:
 			// Broad match runs under the cost budget and the request
 			// deadline; a truncated answer is a verified subset, flagged.
+			// The auction runs inside the search, before copy-out.
 			deadline, _ := ctx.Deadline()
 			qb := adindex.QueryBudget{
 				MaxCost:  s.cfg.QueryBudget,
 				Deadline: deadline,
 			}
-			var res adindex.MatchResult
 			if s.cfg.TrackCost {
-				// Counted variant: the same match, with its access counters
-				// attributed to the index (feeding adaptation's cost-model
-				// recalibration) and its modeled cost recorded in the
-				// per-query cost histogram.
+				// The same search, with its access counters attributed to
+				// the index (feeding adaptation's cost-model recalibration)
+				// and its modeled cost recorded in the per-query cost
+				// histogram.
 				var c adindex.Counters
 				matchStart := time.Now()
-				res = view.BroadMatchBudgetCounted(q, qb, &c)
+				res = view.Search(q, qb, s.cfg.Selection, &c)
 				ix.RecordQueryCost(&c, time.Since(matchStart).Nanoseconds())
 				s.metrics.Cost.Observe(c.Cost(ix.Model()))
 			} else {
-				res = view.BroadMatchBudget(q, qb)
+				res = view.Search(q, qb, s.cfg.Selection, nil)
 			}
-			matches, truncated, cutoff, costSpent = res.Ads, res.Truncated, res.CutoffApplied, res.CostSpent
 		}
-		if truncated {
+		if res.Truncated {
 			// Never cache a partial answer, and strike the fingerprint:
 			// enough blowouts inside the TTL window quarantine it.
 			s.metrics.BudgetTruncated.Add(1)
 			s.quarantine.NoteBudgetBlown(key)
 		} else {
-			s.cache.Put(key, epoch, matches)
+			s.cache.Put(key, epoch, res)
 		}
-		if cutoff {
-			s.metrics.Cutoffs.Add(1)
-		}
+	}
+	if res.CutoffApplied {
+		s.metrics.Cutoffs.Add(1)
 	}
 	if s.handlerDelay > 0 {
 		time.Sleep(s.handlerDelay)
 	}
 
-	result := matches
-	if s.cfg.Selection != nil {
-		result = adindex.SelectAds(q, matches, *s.cfg.Selection)
-	}
 	took := time.Since(start)
 	s.writeJSON(w, searchResponse{
 		Query:         q,
 		Type:          matchType,
-		Matched:       len(matches),
+		Matched:       res.Matched,
 		Cached:        hit,
-		Ads:           result,
+		Ads:           res.Ads,
 		TookUS:        took.Microseconds(),
-		Truncated:     truncated,
-		CutoffApplied: cutoff,
-		CostSpent:     costSpent,
+		Truncated:     res.Truncated,
+		CutoffApplied: res.CutoffApplied,
+		CostSpent:     res.CostSpent,
 	})
 	s.metrics.Latency.Observe(time.Since(start))
+}
+
+// selectFrom is the answer served for exact or phrase matches: the
+// auction winners when the server has a Selection, else every match.
+func (s *Server) selectFrom(q string, matches []adindex.Ad) adindex.MatchResult {
+	res := adindex.MatchResult{Ads: matches, Matched: len(matches)}
+	if s.cfg.Selection != nil {
+		res.Ads = adindex.SelectAds(q, matches, *s.cfg.Selection)
+	}
+	return res
 }
 
 // searchRewrite answers /search?rewrite=on with approximate broad match:
@@ -658,8 +663,8 @@ type batchResponse struct {
 // handleSearchBatch answers POST /search/batch: broad-match for up to
 // MaxBatchQueries queries evaluated against one consistent index snapshot
 // (adindex.View), so every result in the response reflects the same epoch.
-// Cache hits are served per query; misses go through the batched
-// zero-allocation match path and are cached under the view's epoch.
+// Cache hits are served per query; misses run View.Search on that view
+// and are cached under its epoch.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if r.Method != http.MethodPost {
@@ -759,28 +764,18 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Latency.Observe(time.Since(start))
 		return
 	}
+	// Misses run the same search as /search, unbudgeted, so both endpoints
+	// fill their shared cache entries with the same answer.
 	results := make([]batchResult, len(req.Queries))
-	var missIdx []int
-	var missQueries []string
 	for i, q := range req.Queries {
 		ix.Observe(q)
-		if matches, hit := s.cache.Get(cacheKey("broad", q), epoch); hit {
-			results[i] = batchResult{Query: q, Matched: len(matches), Cached: true, Ads: matches}
-			continue
+		key := cacheKey("broad", q)
+		res, hit := s.cache.Get(key, epoch)
+		if !hit {
+			res = view.Search(q, adindex.QueryBudget{}, s.cfg.Selection, nil)
+			s.cache.Put(key, epoch, res)
 		}
-		missIdx = append(missIdx, i)
-		missQueries = append(missQueries, q)
-	}
-	for j, matches := range view.BroadMatchBatch(missQueries) {
-		i := missIdx[j]
-		q := req.Queries[i]
-		s.cache.Put(cacheKey("broad", q), epoch, matches)
-		results[i] = batchResult{Query: q, Matched: len(matches), Ads: matches}
-	}
-	if s.cfg.Selection != nil {
-		for i := range results {
-			results[i].Ads = adindex.SelectAds(results[i].Query, results[i].Ads, *s.cfg.Selection)
-		}
+		results[i] = batchResult{Query: q, Matched: res.Matched, Cached: hit, Ads: res.Ads}
 	}
 	s.writeJSON(w, batchResponse{
 		Epoch:   epoch,

@@ -255,6 +255,9 @@ type queryScratch struct {
 	// budget is the per-query cost budget of the budgeted entry points,
 	// kept here so a budgeted query allocates nothing extra.
 	budget core.Budget
+	// auction is the selection state of Search, SelectAds and
+	// SelectMatches.
+	auction auction
 
 	// Batch-only buffers: one shared token arena for every query in a
 	// block (batchOff[i]..batchOff[i+1] delimits query i's canonical
@@ -288,6 +291,10 @@ func putScratch(sc *queryScratch) {
 	sc.batchHash = sc.batchHash[:0]
 	sc.batchOrder = sc.batchOrder[:0]
 	sc.batchSpan = sc.batchSpan[:0]
+	clear(sc.auction.excl[:cap(sc.auction.excl)])
+	sc.auction.excl = sc.auction.excl[:0]
+	sc.auction.top = sc.auction.top[:0]
+	sc.auction.sel, sc.auction.qWords = nil, nil
 	scratchPool.Put(sc)
 }
 
@@ -309,10 +316,6 @@ func appendAdCopies(dst []Ad, matches []*corpus.Ad) []Ad {
 		ad := *m
 		arena, ad.Words = appendArena(arena, m.Words)
 		arena, ad.Meta.Exclusions = appendArena(arena, m.Meta.Exclusions)
-		// Copy-out is where matches become auction input: cache the
-		// exclusion word sets once here so selection never re-tokenizes
-		// them per query-word check.
-		ad.Meta.RefreshExclusionSets()
 		dst = append(dst, ad)
 	}
 	return dst
@@ -350,7 +353,6 @@ func deepCopyAdStrings(ads []Ad) {
 	for i := range ads {
 		arena, ads[i].Words = appendArena(arena, ads[i].Words)
 		arena, ads[i].Meta.Exclusions = appendArena(arena, ads[i].Meta.Exclusions)
-		ads[i].Meta.RefreshExclusionSets()
 	}
 }
 
@@ -537,7 +539,6 @@ func (v View) BroadMatchBatch(queries []string) [][]Ad {
 			ad := *m
 			arena, ad.Words = appendArena(arena, m.Words)
 			arena, ad.Meta.Exclusions = appendArena(arena, m.Meta.Exclusions)
-			ad.Meta.RefreshExclusionSets()
 			backing = append(backing, ad)
 		}
 		out[idx] = backing[mark:len(backing):len(backing)]

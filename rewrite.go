@@ -214,7 +214,6 @@ func (v View) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
 		m := Match{Ad: *h.rec, Info: h.info}
 		arena, m.Words = appendArena(arena, h.rec.Words)
 		arena, m.Meta.Exclusions = appendArena(arena, h.rec.Meta.Exclusions)
-		m.Meta.RefreshExclusionSets()
 		out = append(out, m)
 	}
 	return out, stats
