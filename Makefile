@@ -104,12 +104,15 @@ cover:
 # Ten seconds of coverage-guided fuzzing each over the corpus text
 # format round-trip property (Read ∘ Write = id on accepted inputs), the
 # bounded-Levenshtein trie walk (walk ≡ naive DP over every stored
-# word), and the columnar signature prefilter (prefiltered scan ≡ naive
-# per-record subset scan under random insert/remove churn).
+# word), the columnar signature prefilter (prefiltered scan ≡ naive
+# per-record subset scan under random insert/remove churn), and the
+# multi-server ID-frame decoder (no panic on any input, decoded count
+# bounded by the frame length, decode re-encodes byte for byte).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinWalk -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeIDsFlags -fuzztime=10s ./internal/multiserver
 
 # One iteration of every root benchmark (keeps them compiling and
 # running without timing anything), then the benchmark regression gate

@@ -44,13 +44,18 @@ type MatchResult struct {
 	CostSpent int64
 }
 
-// appendBroadMatchBudget is appendBroadMatch under a budget: the base
-// match charges per probe and per scanned record and stops at node
-// granularity when exhausted; the delta overlay (bounded by
-// MaxDeltaAds) is charged as one unit of its length and always scanned
-// whole, so freshly inserted ads stay visible even in truncated
-// answers.
-func (s *snapshot) appendBroadMatchBudget(dst []*corpus.Ad, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []*corpus.Ad {
+// appendBroadMatch appends pointers to every broad-matching record to
+// dst: base matches (minus tombstones) plus a linear scan of the delta.
+// The appended segment is ordered by ID. queryWords must be a canonical
+// word set. The returned pointers reference snapshot-internal storage;
+// public entry points copy them out before returning.
+//
+// The base match charges b per probe and per scanned record and stops
+// at node granularity once b is exhausted (a zero Budget never is); the
+// delta overlay (bounded by MaxDeltaAds) is charged as one unit of its
+// length and always scanned whole, so freshly inserted ads stay visible
+// even in truncated answers.
+func (s *snapshot) appendBroadMatch(dst []*corpus.Ad, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []*corpus.Ad {
 	mark := len(dst)
 	dst = s.base.AppendBroadMatchBudget(dst, queryWords, counters, sc, b)
 	if len(s.tombs) > 0 {
@@ -59,6 +64,11 @@ func (s *snapshot) appendBroadMatchBudget(dst []*corpus.Ad, queryWords []string,
 	if len(s.delta) > 0 {
 		b.Charge(int64(len(s.delta)))
 		n := len(dst)
+		// The delta is scanned with the raw canonical query words: the
+		// base prepares queries against its own vocabulary, which may lack
+		// delta-only words. The signature column computed at insert time
+		// rejects most overlay ads on one 64-bit compare, mirroring the
+		// columnar base scan (and its accounting).
 		qsig := core.SetSignature(queryWords)
 		for i := range s.delta {
 			if s.deltaSigs[i]&^qsig != 0 {
@@ -96,19 +106,26 @@ func (s *snapshot) appendBroadMatchBudget(dst []*corpus.Ad, queryWords []string,
 // With a nil sel, Ads holds every match in ID order. counters, when
 // non-nil, accumulates the match's memory-access accounting.
 func (v View) Search(query string, qb QueryBudget, sel *Selection, counters *Counters) MatchResult {
+	return v.search(nil, query, qb, sel, counters)
+}
+
+// search is Search appending the copied-out ads to dst, the one body
+// behind every View broad-match entry point. Ads is nil when dst is nil
+// and nothing is appended, except that a Selection always yields a
+// non-nil slice (so a served auction with no winners encodes as []).
+func (v View) search(dst []Ad, query string, qb QueryBudget, sel *Selection, counters *Counters) MatchResult {
 	sc := getScratch()
 	sc.budget = core.Budget{MaxCost: qb.MaxCost, Deadline: qb.Deadline, Now: qb.Now}
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = v.s.appendBroadMatchBudget(sc.matches[:0], sc.words, counters, &sc.core, &sc.budget)
+	sc.matches = v.s.appendBroadMatch(sc.matches[:0], sc.words, counters, &sc.core, &sc.budget)
 	res := MatchResult{
 		Matched:       len(sc.matches),
 		Truncated:     sc.budget.Exhausted(),
 		CutoffApplied: sc.budget.CutoffApplied(),
 		CostSpent:     sc.budget.Spent(),
 	}
-	if sel == nil {
-		res.Ads = copyMatches(sc.matches)
-	} else {
+	copyOut := sc.matches
+	if sel != nil {
 		a := sc.startAuction(sel)
 		for i, m := range sc.matches[:res.Matched] {
 			a.offer(m, rankKey{score: sel.score(&m.Meta), id: m.ID, pos: i})
@@ -117,9 +134,12 @@ func (v View) Search(query string, qb QueryBudget, sel *Selection, counters *Cou
 		for _, k := range a.winners() {
 			sc.matches = append(sc.matches, sc.matches[k.pos])
 		}
-		res.Ads = appendAdCopies(make([]Ad, 0, len(sc.matches)-res.Matched), sc.matches[res.Matched:])
+		copyOut = sc.matches[res.Matched:]
+		if dst == nil {
+			dst = make([]Ad, 0, len(copyOut))
+		}
 	}
-	sc.budget = core.Budget{} // drop the caller's clock func before pooling
+	res.Ads = appendAdCopies(dst, copyOut)
 	putScratch(sc)
 	return res
 }
@@ -131,12 +151,6 @@ func (v View) Search(query string, qb QueryBudget, sel *Selection, counters *Cou
 // reports CutoffApplied, surfacing the MaxQueryWords drop).
 func (v View) BroadMatchBudget(query string, qb QueryBudget) MatchResult {
 	return v.Search(query, qb, nil, nil)
-}
-
-// BroadMatchBudgetCounted is BroadMatchBudget with memory-access
-// accounting.
-func (v View) BroadMatchBudgetCounted(query string, qb QueryBudget, counters *Counters) MatchResult {
-	return v.Search(query, qb, nil, counters)
 }
 
 // BroadMatchBudget is View.BroadMatchBudget on the current snapshot.

@@ -10,9 +10,9 @@ package main
 // IsSubset string comparison, no signature prefilter). The "after"
 // variants are the shipped public API (pooled scratch, atomic snapshot
 // load, columnar signature sweep, arena result copies), plus the batch
-// entry point that sorts probes by bucket. All run in the same process on
-// the same corpus and query stream, so the comparison isolates the
-// read-path design. Results are printed as a table and written as JSON
+// entry point (one BroadMatch per query on one View). All run in the
+// same process on the same corpus and query stream, so the comparison
+// isolates the read-path design. Results are printed as a table and written as JSON
 // (default BENCH_PR8.json, see -out) for README/DESIGN to quote.
 
 import (
@@ -254,8 +254,7 @@ func interleavedSerialQPS(passes []func(), n int) []float64 {
 }
 
 // perfBatchSize mirrors the block size a /search/batch request carries in
-// the server smoke tests: big enough for the bucket sort to pay off,
-// small enough for realistic request framing.
+// the server smoke tests, small enough for realistic request framing.
 const perfBatchSize = 64
 
 // measureBatch times the batch entry point over fixed-size query blocks.

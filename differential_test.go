@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"adindex/internal/corpus"
+	"adindex/internal/textnorm"
 )
 
 // Differential tests pinning the compressed B^sig/B^off snapshot against
@@ -276,5 +277,95 @@ func TestDifferentialSearchVsSelectAds(t *testing.T) {
 	if tombs == 0 || delta == 0 || truncated == 0 || cut == 0 {
 		t.Fatalf("corpora missed a case: %d tombstones, %d overlay ads, %d truncated, %d cut queries",
 			tombs, delta, truncated, cut)
+	}
+}
+
+// TestDifferentialEntryPoints: every View broad-match entry point agrees
+// with a brute-force words(P) ⊆ Q scan of the live ads, over base
+// tombstones and overlay inserts — BroadMatch, BroadMatchCounted (its
+// match counter included), BroadMatchAppend onto a non-empty dst (prefix
+// untouched), BroadMatchBatch over the whole query list, an unbounded
+// Search, and BroadMatchRewrite on an index without rewriting (every hit
+// MatchExact). No match is nil from every entry point but Append.
+func TestDifferentialEntryPoints(t *testing.T) {
+	tombs, delta, empty := 0, 0, 0
+	for seed := int64(0); seed < diffCorpora; seed++ {
+		ix, live, rng := diffCorpus(seed)
+		s := ix.snap.Load()
+		tombs += len(s.tombs)
+		delta += len(s.delta)
+		queries := diffQueries(live, rng)
+		// A query no ad matches pins the nil no-match contract.
+		queries = append(queries, "zzzz unmatched")
+		view := ix.View()
+		batch := view.BroadMatchBatch(queries)
+		if len(batch) != len(queries) {
+			t.Fatalf("seed %d: BroadMatchBatch returned %d results for %d queries", seed, len(batch), len(queries))
+		}
+		prefix := []Ad{live[0], live[len(live)-1]}
+		for qi, q := range queries {
+			qset := textnorm.WordSet(q)
+			var want []Ad
+			for _, ad := range live {
+				if textnorm.IsSubset(ad.Words, qset) {
+					want = append(want, ad)
+				}
+			}
+			sortAds(want)
+			if len(want) == 0 {
+				empty++
+			}
+			check := func(name string, got []Ad) {
+				t.Helper()
+				if len(want) == 0 && got != nil {
+					t.Fatalf("seed %d: %s(%q) = %v, want nil", seed, name, q, got)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: %s(%q) diverges:\ngot  %v\nwant %v",
+						seed, name, q, summarize(got), summarize(want))
+				}
+			}
+			check("BroadMatch", view.BroadMatch(q))
+			var c Counters
+			check("BroadMatchCounted", view.BroadMatchCounted(q, &c))
+			if c.Queries != 1 || c.Matches != int64(len(want)) {
+				t.Fatalf("seed %d: BroadMatchCounted(%q) counted %d queries, %d matches; want 1, %d",
+					seed, q, c.Queries, c.Matches, len(want))
+			}
+			check("BroadMatchBatch", batch[qi])
+			res := view.Search(q, QueryBudget{}, nil, nil)
+			check("Search", res.Ads)
+			if res.Matched != len(want) || res.Truncated {
+				t.Fatalf("seed %d: Search(%q) matched %d truncated %v, want %d false",
+					seed, q, res.Matched, res.Truncated, len(want))
+			}
+
+			dst := append([]Ad(nil), prefix...)
+			got := view.BroadMatchAppend(dst, q)
+			if !reflect.DeepEqual(got[:len(prefix)], prefix) {
+				t.Fatalf("seed %d: BroadMatchAppend(%q) changed the dst prefix", seed, q)
+			}
+			if seg := got[len(prefix):]; len(seg) != len(want) || (len(want) > 0 && !reflect.DeepEqual(seg, want)) {
+				t.Fatalf("seed %d: BroadMatchAppend(%q) appended %v, want %v",
+					seed, q, summarize(seg), summarize(want))
+			}
+
+			matches, stats := view.BroadMatchRewrite(q)
+			var rw []Ad
+			for _, m := range matches {
+				if m.Info.Type != MatchExact {
+					t.Fatalf("seed %d: BroadMatchRewrite(%q) without rewriting returned a %v hit", seed, q, m.Info.Type)
+				}
+				rw = append(rw, m.Ad)
+			}
+			check("BroadMatchRewrite", rw)
+			if stats.Probes != 1 || stats.Variants != 0 {
+				t.Fatalf("seed %d: BroadMatchRewrite(%q) without rewriting spent %d probes on %d variants",
+					seed, q, stats.Probes, stats.Variants)
+			}
+		}
+	}
+	if tombs == 0 || delta == 0 || empty == 0 {
+		t.Fatalf("corpora missed a case: %d tombstones, %d overlay ads, %d no-match queries", tombs, delta, empty)
 	}
 }

@@ -481,28 +481,43 @@ func (s *Server) Expired() int64 { return atomic.LoadInt64(&s.expired) }
 
 // encodeIDs/decodeIDs serialize ID lists for the index-server response and
 // the ad-server request.
-func encodeIDs(ids []uint64) []byte {
-	buf := make([]byte, 4+8*len(ids))
-	binary.BigEndian.PutUint32(buf, uint32(len(ids)))
-	for i, id := range ids {
-		binary.BigEndian.PutUint64(buf[4+8*i:], id)
-	}
-	return buf
-}
+func encodeIDs(ids []uint64) []byte { return encodeIDsFlags(ids, 0) }
 
 func decodeIDs(data []byte) ([]uint64, error) {
+	ids, flagged, err := decodeIDFrame(data)
+	if err == nil && flagged {
+		return nil, idFrameMismatch(data)
+	}
+	return ids, err
+}
+
+// decodeIDFrame parses an ID frame: a uint32 count, that many uint64
+// IDs, and optionally one trailing flags byte (reported by flagged).
+// The lengths are compared in uint64: in uint32 a count of 2^29 or
+// more wraps, so a frame a few bytes long would pass the check, allocate
+// gigabytes, and panic reading past its end.
+func decodeIDFrame(data []byte) (ids []uint64, flagged bool, err error) {
 	if len(data) < 4 {
-		return nil, errors.New("multiserver: short ID frame")
+		return nil, false, errors.New("multiserver: short ID frame")
 	}
 	n := binary.BigEndian.Uint32(data)
-	if uint32(len(data)-4) != n*8 {
-		return nil, fmt.Errorf("multiserver: ID frame length mismatch: %d ids, %d bytes", n, len(data)-4)
+	switch uint64(len(data) - 4) {
+	case 8 * uint64(n):
+	case 8*uint64(n) + 1:
+		flagged = true
+	default:
+		return nil, false, idFrameMismatch(data)
 	}
-	ids := make([]uint64, n)
+	ids = make([]uint64, n)
 	for i := range ids {
 		ids[i] = binary.BigEndian.Uint64(data[4+8*i:])
 	}
-	return ids, nil
+	return ids, flagged, nil
+}
+
+func idFrameMismatch(data []byte) error {
+	return fmt.Errorf("multiserver: ID frame length mismatch: %d ids, %d bytes",
+		binary.BigEndian.Uint32(data), len(data)-4)
 }
 
 // Result flags carried in the optional trailing byte of an ID frame.
@@ -521,36 +536,33 @@ const (
 // identical to the legacy format (and legacy decodeIDs keeps accepting
 // it).
 func encodeIDsFlags(ids []uint64, flags byte) []byte {
-	if flags == 0 {
-		return encodeIDs(ids)
+	size := 4 + 8*len(ids)
+	if flags != 0 {
+		size++
 	}
-	buf := make([]byte, 4+8*len(ids)+1)
+	buf := make([]byte, size)
 	binary.BigEndian.PutUint32(buf, uint32(len(ids)))
 	for i, id := range ids {
 		binary.BigEndian.PutUint64(buf[4+8*i:], id)
 	}
-	buf[len(buf)-1] = flags
+	if flags != 0 {
+		buf[size-1] = flags
+	}
 	return buf
 }
 
 // decodeIDsFlags parses an ID frame with or without the trailing flags
 // byte.
 func decodeIDsFlags(data []byte) ([]uint64, byte, error) {
-	if len(data) < 4 {
-		return nil, 0, errors.New("multiserver: short ID frame")
+	ids, flagged, err := decodeIDFrame(data)
+	if err != nil || !flagged {
+		return ids, 0, err
 	}
-	n := binary.BigEndian.Uint32(data)
-	var flags byte
-	switch uint32(len(data) - 4) {
-	case n * 8:
-	case n*8 + 1:
-		flags = data[len(data)-1]
-	default:
-		return nil, 0, fmt.Errorf("multiserver: ID frame length mismatch: %d ids, %d bytes", n, len(data)-4)
-	}
-	ids := make([]uint64, n)
-	for i := range ids {
-		ids[i] = binary.BigEndian.Uint64(data[4+8*i:])
+	flags := data[len(data)-1]
+	if flags == 0 {
+		// encodeIDsFlags never writes a zero flags byte; accepting one
+		// would give a frame two encodings.
+		return nil, 0, idFrameMismatch(data)
 	}
 	return ids, flags, nil
 }

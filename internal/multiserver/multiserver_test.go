@@ -1,6 +1,7 @@
 package multiserver
 
 import (
+	"bytes"
 	"reflect"
 	"sort"
 	"testing"
@@ -38,6 +39,52 @@ func TestFrameRoundTrip(t *testing.T) {
 	if _, err := decodeIDs([]byte{0, 0, 0, 2, 1}); err == nil {
 		t.Error("mismatched frame accepted")
 	}
+}
+
+// overflowFrame claims 2^29 IDs but carries one: in uint32, 2^29*8
+// wraps to 0 and the 8-byte body passed for a flags-free ID list.
+var overflowFrame = []byte{0x20, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8}
+
+// TestDecodeIDsCountOverflow: a frame whose count overflows the length
+// check in 32 bits is rejected by both decoders instead of allocating
+// n IDs and reading past the frame.
+func TestDecodeIDsCountOverflow(t *testing.T) {
+	frames := [][]byte{
+		overflowFrame,
+		append(append([]byte(nil), overflowFrame...), IDFlagTruncated), // wraps to n*8+1
+		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0},
+	}
+	for _, f := range frames {
+		if ids, err := decodeIDs(f); err == nil {
+			t.Errorf("decodeIDs(% x) accepted %d ids", f, len(ids))
+		}
+		if ids, _, err := decodeIDsFlags(f); err == nil {
+			t.Errorf("decodeIDsFlags(% x) accepted %d ids", f, len(ids))
+		}
+	}
+}
+
+// FuzzDecodeIDsFlags: no input panics the flag-tolerant ID decoder, a
+// decoded count never exceeds what the frame can hold, and every
+// accepted frame is the canonical encoding of what it decodes to.
+func FuzzDecodeIDsFlags(f *testing.F) {
+	f.Add(overflowFrame)
+	f.Add(encodeIDs([]uint64{1, 99, 1 << 40}))
+	f.Add(encodeIDsFlags([]uint64{7}, IDFlagTruncated|IDFlagCutoff))
+	f.Add(encodeIDsFlags(nil, IDFlagCutoff))
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ids, flags, err := decodeIDsFlags(data)
+		if err != nil {
+			return
+		}
+		if limit := (len(data) - 4) / 8; len(ids) > limit {
+			t.Fatalf("%d ids decoded from a %d-byte frame", len(ids), len(data))
+		}
+		if back := encodeIDsFlags(ids, flags); !bytes.Equal(back, data) {
+			t.Fatalf("re-encoding differs:\nframe % x\nback  % x", data, back)
+		}
+	})
 }
 
 func TestEndToEndQuery(t *testing.T) {

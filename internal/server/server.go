@@ -610,29 +610,56 @@ func (s *Server) selectFrom(q string, matches []adindex.Ad) adindex.MatchResult 
 // answers depend on the vocabulary too) and apply SelectMatches — the
 // discount-aware auction — when the server is configured with Selection.
 func (s *Server) searchRewrite(w http.ResponseWriter, ix *adindex.Index, q string, start time.Time) {
-	if !ix.RewriteEnabled() {
-		s.metrics.BadRequests.Add(1)
-		http.Error(w, "rewrite is not enabled on this index (start with -rewrite)",
-			http.StatusBadRequest)
+	answers, ok := s.rewriteQueries(w, ix, ix.View(), []string{q})
+	if !ok {
 		return
 	}
-	ix.Observe(q)
-	matches, rstats := ix.BroadMatchRewrite(q)
-	s.metrics.noteRewrite(rstats)
-	matched := len(matches)
-	if s.cfg.Selection != nil {
-		matches = adindex.SelectMatches(q, matches, *s.cfg.Selection)
-	}
+	a := answers[0]
 	took := time.Since(start)
 	s.writeJSON(w, searchResponse{
 		Query:   q,
 		Type:    "broad",
-		Matched: matched,
-		Matches: matches,
-		Rewrite: newRewriteStatsJSON(rstats),
+		Matched: a.matched,
+		Matches: a.matches,
+		Rewrite: newRewriteStatsJSON(a.stats),
 		TookUS:  took.Microseconds(),
 	})
 	s.metrics.Latency.Observe(time.Since(start))
+}
+
+// rewriteAnswer is one query's approximate broad-match answer: the
+// served matches, the match count before selection, and the expansion
+// stats.
+type rewriteAnswer struct {
+	matches []adindex.Match
+	matched int
+	stats   adindex.RewriteStats
+}
+
+// rewriteQueries runs approximate broad match for every query on view,
+// the shared body of /search?rewrite=on and /search/batch with
+// rewrite=on: each query is observed, rewritten, counted in the rewrite
+// metrics and, with a server Selection, run through SelectMatches. It
+// answers 400 and reports false when ix was built without rewriting.
+func (s *Server) rewriteQueries(w http.ResponseWriter, ix *adindex.Index, view adindex.View, queries []string) ([]rewriteAnswer, bool) {
+	if !ix.RewriteEnabled() {
+		s.metrics.BadRequests.Add(1)
+		http.Error(w, "rewrite is not enabled on this index (start with -rewrite)",
+			http.StatusBadRequest)
+		return nil, false
+	}
+	answers := make([]rewriteAnswer, len(queries))
+	for i, q := range queries {
+		ix.Observe(q)
+		matches, rstats := view.BroadMatchRewrite(q)
+		s.metrics.noteRewrite(rstats)
+		answers[i] = rewriteAnswer{matched: len(matches), stats: rstats}
+		if s.cfg.Selection != nil {
+			matches = adindex.SelectMatches(q, matches, *s.cfg.Selection)
+		}
+		answers[i].matches = matches
+	}
+	return answers, true
 }
 
 // MaxBatchQueries bounds a single /search/batch request.
@@ -739,22 +766,13 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	view := ix.View()
 	epoch := view.Epoch()
 	if req.Rewrite == "on" {
-		if !ix.RewriteEnabled() {
-			s.metrics.BadRequests.Add(1)
-			http.Error(w, "rewrite is not enabled on this index (start with -rewrite)",
-				http.StatusBadRequest)
+		answers, ok := s.rewriteQueries(w, ix, view, req.Queries)
+		if !ok {
 			return
 		}
-		results := make([]batchResult, len(req.Queries))
-		for i, q := range req.Queries {
-			ix.Observe(q)
-			matches, rstats := view.BroadMatchRewrite(q)
-			s.metrics.noteRewrite(rstats)
-			matched := len(matches)
-			if s.cfg.Selection != nil {
-				matches = adindex.SelectMatches(q, matches, *s.cfg.Selection)
-			}
-			results[i] = batchResult{Query: q, Matched: matched, Matches: matches}
+		results := make([]batchResult, len(answers))
+		for i, a := range answers {
+			results[i] = batchResult{Query: req.Queries[i], Matched: a.matched, Matches: a.matches}
 		}
 		s.writeJSON(w, batchResponse{
 			Epoch:   epoch,

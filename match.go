@@ -117,54 +117,6 @@ func adByID(a, b *corpus.Ad) int {
 	return 0
 }
 
-// appendBroadMatch appends pointers to every broad-matching record to dst:
-// base matches (minus tombstones) plus a linear scan of the delta. The
-// appended segment is ordered by ID. queryWords must be a canonical word
-// set. The returned pointers reference snapshot-internal storage; public
-// entry points copy them out before returning.
-func (s *snapshot) appendBroadMatch(dst []*corpus.Ad, queryWords []string, counters *costmodel.Counters, sc *core.Scratch) []*corpus.Ad {
-	mark := len(dst)
-	dst = s.base.AppendBroadMatch(dst, queryWords, counters, sc)
-	if len(s.tombs) > 0 {
-		dst = s.filterTombs(dst, mark, counters)
-	}
-	if len(s.delta) > 0 {
-		n := len(dst)
-		// The delta is scanned with the raw canonical query words: the
-		// base prepares queries against its own vocabulary, which may lack
-		// delta-only words. The signature column computed at insert time
-		// rejects most overlay ads on one 64-bit compare, mirroring the
-		// columnar base scan (and its accounting).
-		qsig := core.SetSignature(queryWords)
-		for i := range s.delta {
-			if s.deltaSigs[i]&^qsig != 0 {
-				if counters != nil {
-					counters.SignatureChecks++
-					counters.SignatureRejects++
-					counters.BytesScanned += 8
-				}
-				continue
-			}
-			rec := &s.delta[i]
-			if counters != nil {
-				counters.SignatureChecks++
-				counters.PhrasesChecked++
-				counters.BytesScanned += int64(rec.Size())
-			}
-			if len(rec.Words) <= len(queryWords) && textnorm.IsSubset(rec.Words, queryWords) {
-				dst = append(dst, rec)
-			}
-		}
-		if len(dst) > n {
-			if counters != nil {
-				counters.Matches += int64(len(dst) - n)
-			}
-			slices.SortFunc(dst[mark:], adByID)
-		}
-	}
-	return dst
-}
-
 // filterTombs removes tombstoned base records from dst[mark:] in place,
 // honoring per-key deletion counts (a key deleted twice suppresses two of
 // its duplicate records).
@@ -252,22 +204,12 @@ type queryScratch struct {
 	words   []string
 	core    core.Scratch
 	matches []*corpus.Ad
-	// budget is the per-query cost budget of the budgeted entry points,
-	// kept here so a budgeted query allocates nothing extra.
+	// budget is the per-query cost budget of every broad match (zero
+	// means unbounded), kept here so a query allocates nothing for it.
 	budget core.Budget
 	// auction is the selection state of Search, SelectAds and
 	// SelectMatches.
 	auction auction
-
-	// Batch-only buffers: one shared token arena for every query in a
-	// block (batchOff[i]..batchOff[i+1] delimits query i's canonical
-	// word set), the per-query set hashes, and the bucket-sorted
-	// processing order.
-	batchWords []string
-	batchOff   []int32
-	batchHash  []uint64
-	batchOrder []int32
-	batchSpan  []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
@@ -285,12 +227,7 @@ func putScratch(sc *queryScratch) {
 	sc.core.Reset()
 	clear(sc.matches[:cap(sc.matches)])
 	sc.matches = sc.matches[:0]
-	clear(sc.batchWords[:cap(sc.batchWords)])
-	sc.batchWords = sc.batchWords[:0]
-	sc.batchOff = sc.batchOff[:0]
-	sc.batchHash = sc.batchHash[:0]
-	sc.batchOrder = sc.batchOrder[:0]
-	sc.batchSpan = sc.batchSpan[:0]
+	sc.budget = core.Budget{} // drops the caller's clock func
 	clear(sc.auction.excl[:cap(sc.auction.excl)])
 	sc.auction.excl = sc.auction.excl[:0]
 	sc.auction.top = sc.auction.top[:0]
@@ -302,6 +239,8 @@ func putScratch(sc *queryScratch) {
 // Exclusions slices of the appended ads share a single string arena, so
 // the whole copy costs two allocations (arena + dst growth) regardless of
 // match count, and no returned slice aliases index-internal storage.
+// With no matches dst comes back unchanged, so a nil dst stays nil (the
+// historical no-match result).
 func appendAdCopies(dst []Ad, matches []*corpus.Ad) []Ad {
 	if len(matches) == 0 {
 		return dst
@@ -331,15 +270,6 @@ func appendArena(arena, src []string) ([]string, []string) {
 	mark := len(arena)
 	arena = append(arena, src...)
 	return arena, arena[mark:len(arena):len(arena)]
-}
-
-// copyMatches converts internal match pointers to caller-owned Ad values
-// (nil for no matches, preserving the historical API).
-func copyMatches(matches []*corpus.Ad) []Ad {
-	if len(matches) == 0 {
-		return nil
-	}
-	return appendAdCopies(make([]Ad, 0, len(matches)), matches)
 }
 
 // deepCopyAdStrings rebinds every Words/Exclusions slice in ads to a fresh
@@ -387,12 +317,7 @@ func (v View) BroadMatch(query string) []Ad {
 
 // BroadMatchCounted is BroadMatch with memory-access accounting.
 func (v View) BroadMatchCounted(query string, counters *Counters) []Ad {
-	sc := getScratch()
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = v.s.appendBroadMatch(sc.matches[:0], sc.words, counters, &sc.core)
-	out := copyMatches(sc.matches)
-	putScratch(sc)
-	return out
+	return v.search(nil, query, QueryBudget{}, nil, counters).Ads
 }
 
 // BroadMatchAppend appends copies of all broad-matching ads to dst,
@@ -400,24 +325,19 @@ func (v View) BroadMatchCounted(query string, counters *Counters) []Ad {
 // slice. Reusing dst across calls keeps the hot path at a single
 // allocation per query (the string arena backing the copies).
 func (v View) BroadMatchAppend(dst []Ad, query string) []Ad {
-	sc := getScratch()
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = v.s.appendBroadMatch(sc.matches[:0], sc.words, nil, &sc.core)
-	dst = appendAdCopies(dst, sc.matches)
-	putScratch(sc)
-	return dst
+	return v.search(dst, query, QueryBudget{}, nil, nil).Ads
 }
 
 // ExactMatch returns ads whose bid phrase equals the query as a normalized
 // token sequence.
 func (v View) ExactMatch(query string) []Ad {
-	return copyMatches(v.s.exactMatch(query, nil))
+	return appendAdCopies(nil, v.s.exactMatch(query, nil))
 }
 
 // PhraseMatch returns ads whose bid phrase occurs in the query as a
 // contiguous, ordered token subsequence.
 func (v View) PhraseMatch(query string) []Ad {
-	return copyMatches(v.s.phraseMatch(query, nil))
+	return appendAdCopies(nil, v.s.phraseMatch(query, nil))
 }
 
 // BroadMatch returns copies of all ads whose bid phrases broad-match the
@@ -439,111 +359,13 @@ func (ix *Index) BroadMatchAppend(dst []Ad, query string) []Ad {
 }
 
 // BroadMatchBatch evaluates all queries against this view's snapshot and
-// returns per-query results in order. Beyond amortizing the scratch
-// acquisition, the batch sorts its probes by bucket: queries are
-// processed in canonical word-set order, so queries sharing leading words
-// re-probe the same hash-table region (subset enumeration extends the
-// same incremental hashes) while it is still cache-warm, and duplicate
-// word sets — common in production streams — are answered once and
-// copied, skipping the index walk entirely.
+// returns per-query results in order: one BroadMatch per query, all on
+// the same snapshot.
 func (v View) BroadMatchBatch(queries []string) [][]Ad {
 	out := make([][]Ad, len(queries))
-	sc := getScratch()
-	// Tokenize every query into one pooled arena; query i's canonical
-	// word set is batchWords[batchOff[i]:batchOff[i+1]]. One growing
-	// buffer instead of a []string per query keeps the batch entry point
-	// allocation-free up to the result copies.
-	sc.batchOff = append(sc.batchOff[:0], 0)
-	sc.batchHash = sc.batchHash[:0]
-	for _, q := range queries {
-		mark := len(sc.batchWords)
-		sc.batchWords = textnorm.AppendWordSet(sc.batchWords, q)
-		sc.batchOff = append(sc.batchOff, int32(len(sc.batchWords)))
-		sc.batchHash = append(sc.batchHash, core.WordHash(sc.batchWords[mark:]))
+	for i, q := range queries {
+		out[i] = v.BroadMatch(q)
 	}
-	set := func(i int32) []string {
-		return sc.batchWords[sc.batchOff[i]:sc.batchOff[i+1]]
-	}
-	sc.batchOrder = sc.batchOrder[:0]
-	for i := range queries {
-		sc.batchOrder = append(sc.batchOrder, int32(i))
-	}
-	// Order queries by word-set hash — i.e. by the hash-table bucket their
-	// full-set probe lands in. One integer compare per step; equal sets
-	// sort adjacent (same hash), so duplicates are found by the run scan
-	// below, and near-identical probe sequences stay cache-warm.
-	slices.SortFunc(sc.batchOrder, func(a, b int32) int {
-		ha, hb := sc.batchHash[a], sc.batchHash[b]
-		switch {
-		case ha < hb:
-			return -1
-		case ha > hb:
-			return 1
-		}
-		return int(a) - int(b) // deterministic order among duplicate sets
-	})
-	// Pass 1: resolve each distinct word set once, accumulating all match
-	// pointers in one buffer; a duplicate set reuses the span its twin
-	// resolved (duplicates are adjacent in the order: equal sets hash
-	// equally, and index breaks ties).
-	if cap(sc.batchSpan) < 2*len(queries) {
-		sc.batchSpan = make([]int32, 2*len(queries))
-	}
-	span := sc.batchSpan[:2*len(queries)]
-	sc.matches = sc.matches[:0]
-	for k, idx := range sc.batchOrder {
-		if k > 0 {
-			if prev := sc.batchOrder[k-1]; textnorm.SetEqual(set(idx), set(prev)) {
-				span[2*idx], span[2*idx+1] = span[2*prev], span[2*prev+1]
-				continue
-			}
-		}
-		start := int32(len(sc.matches))
-		sc.matches = v.s.appendBroadMatch(sc.matches, set(idx), nil, &sc.core)
-		span[2*idx], span[2*idx+1] = start, int32(len(sc.matches))
-	}
-
-	// Pass 2: copy out into one shared backing and string arena for the
-	// whole block (the caller owns the block as a unit), instead of a
-	// result slice and arena per query. Both are sized exactly up front:
-	// growth would move earlier views to a stale array. A duplicate set
-	// re-copies its twin's finished ads, so its Words share the twin's
-	// arena segments — the same aliasing a per-query clone produced.
-	totalAds, needStrings := 0, 0
-	for k, idx := range sc.batchOrder {
-		totalAds += int(span[2*idx+1] - span[2*idx])
-		if k > 0 && textnorm.SetEqual(set(idx), set(sc.batchOrder[k-1])) {
-			continue // duplicate: re-copies finished ads, no arena use
-		}
-		for _, m := range sc.matches[span[2*idx]:span[2*idx+1]] {
-			needStrings += len(m.Words) + len(m.Meta.Exclusions)
-		}
-	}
-	backing := make([]Ad, 0, totalAds)
-	arena := make([]string, 0, needStrings)
-	for k, idx := range sc.batchOrder {
-		lo, hi := span[2*idx], span[2*idx+1]
-		if lo == hi {
-			continue // historical API: no matches is nil, not empty
-		}
-		if k > 0 {
-			if prev := sc.batchOrder[k-1]; out[prev] != nil && textnorm.SetEqual(set(idx), set(prev)) {
-				mark := len(backing)
-				backing = append(backing, out[prev]...)
-				out[idx] = backing[mark:len(backing):len(backing)]
-				continue
-			}
-		}
-		mark := len(backing)
-		for _, m := range sc.matches[lo:hi] {
-			ad := *m
-			arena, ad.Words = appendArena(arena, m.Words)
-			arena, ad.Meta.Exclusions = appendArena(arena, m.Meta.Exclusions)
-			backing = append(backing, ad)
-		}
-		out[idx] = backing[mark:len(backing):len(backing)]
-	}
-	putScratch(sc)
 	return out
 }
 

@@ -170,7 +170,7 @@ func (v View) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
 	var seen map[*corpus.Ad]bool
 	probe := func(words []string, info MatchInfo) {
 		stats.Probes++
-		sc.matches = v.s.appendBroadMatch(sc.matches[:0], words, nil, &sc.core)
+		sc.matches = v.s.appendBroadMatch(sc.matches[:0], words, nil, &sc.core, &sc.budget)
 		for _, m := range sc.matches {
 			if seen[m] {
 				continue

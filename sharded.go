@@ -11,7 +11,11 @@ import (
 // deployment of the paper's Section VII-B). Ads sharing a word set stay
 // co-located, so per-shard re-mapping remains valid.
 //
-// ShardedIndex is safe for concurrent use with the same caveats as Index.
+// Queries (BroadMatch, BroadMatchCounted, and the servers ServeShards
+// starts) may run concurrently with each other, but not with Insert or
+// Delete: unlike Index, the shards are core.Index values mutated in
+// place without a lock, so a mutation beside a query is a data race.
+// Callers serialize mutations against queries themselves.
 type ShardedIndex struct {
 	cluster *shard.Cluster
 }
@@ -43,7 +47,7 @@ func (s *ShardedIndex) BroadMatch(query string) []Ad {
 
 // BroadMatchCounted is BroadMatch with summed per-shard access accounting.
 func (s *ShardedIndex) BroadMatchCounted(query string, counters *Counters) []Ad {
-	return copyMatches(s.cluster.BroadMatchText(query, counters))
+	return appendAdCopies(nil, s.cluster.BroadMatchText(query, counters))
 }
 
 // Insert routes the ad to its shard.
