@@ -68,7 +68,7 @@ overloadsmoke:
 	$(GO) test -race -run 'TestSimOverloadBudget' -v ./internal/sim
 	$(GO) test -race -run 'TestPanicContainment|TestDeadline|TestBudgetBackendFlagsOverWire' \
 		./internal/multiserver
-	$(GO) test -race -run 'TestSearchBudgetTruncation|TestSearchPanicContainment|TestLimiterShed|TestQuarantine|TestOverloadFlood' \
+	$(GO) test -race -run 'TestSearchBudgetTruncation|TestBudgetEveryKind|TestSearchPanicContainment|TestLimiterShed|TestQuarantine|TestOverloadFlood' \
 		-v ./internal/server
 
 # Continuous-adaptation regression gate: the pinned adapt sim seeds
@@ -107,12 +107,16 @@ cover:
 # word), the columnar signature prefilter (prefiltered scan ≡ naive
 # per-record subset scan under random insert/remove churn), and the
 # multi-server ID-frame decoder (no panic on any input, decoded count
-# bounded by the frame length, decode re-encodes byte for byte).
+# bounded by the frame length, decode re-encodes byte for byte), and the
+# deadline/epoch request-tag decoders, alone and nested (no panic, the
+# body is a suffix of the input, the budget is never negative, decode
+# re-encodes byte for byte).
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadAds -fuzztime=10s ./internal/corpus
 	$(GO) test -run='^$$' -fuzz=FuzzLevenshteinWalk -fuzztime=10s ./internal/rewrite
 	$(GO) test -run='^$$' -fuzz=FuzzSignaturePrefilter -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeIDsFlags -fuzztime=10s ./internal/multiserver
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequestTags -fuzztime=10s ./internal/multiserver
 
 # One iteration of every root benchmark (keeps them compiling and
 # running without timing anything), then the benchmark regression gate

@@ -27,12 +27,19 @@ type Selection struct {
 	RankByExpectedRevenue bool
 }
 
-// score is an ad's undiscounted rank score under sel.
-func (sel *Selection) score(m *Meta) int64 {
+// key ranks one candidate under sel: its score (BidMicros, or
+// BidMicros·ClickRate) discounted by RankDiscountPercent(info), with the
+// rewrite penalty as the tie-break after ID. The zero info of a plain
+// match keeps the full score and no penalty.
+func (sel *Selection) key(ad *corpus.Ad, info MatchInfo, pos int) rankKey {
+	score := ad.Meta.BidMicros
 	if sel.RankByExpectedRevenue {
-		return m.BidMicros * int64(m.ClickRate)
+		score *= int64(ad.Meta.ClickRate)
 	}
-	return m.BidMicros
+	if d := RankDiscountPercent(info); d != 100 {
+		score = score * d / 100
+	}
+	return rankKey{score: score, id: ad.ID, tie: info.Penalty(), pos: pos}
 }
 
 // SelectAds applies exclusion keywords, bid floors, shown-ad suppression,
@@ -40,17 +47,23 @@ func (sel *Selection) score(m *Meta) int64 {
 // auction winners in rank order: score descending, then ID ascending,
 // then input order.
 func SelectAds(query string, matches []Ad, sel Selection) []Ad {
+	return selectWinners(query, matches, &sel, func(ad *Ad) (*corpus.Ad, MatchInfo) { return ad, MatchInfo{} })
+}
+
+// selectWinners runs the auction over items for query and returns the
+// winning items in rank order; match gives an item's ad and match info.
+func selectWinners[T any](query string, items []T, sel *Selection, match func(*T) (*corpus.Ad, MatchInfo)) []T {
 	sc := getScratch()
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	a := sc.startAuction(&sel)
-	for i := range matches {
-		ad := &matches[i]
-		a.offer(ad, rankKey{score: sel.score(&ad.Meta), id: ad.ID, pos: i})
+	a := sc.startAuction(sel)
+	for i := range items {
+		ad, info := match(&items[i])
+		a.offer(ad, sel.key(ad, info, i))
 	}
 	keys := a.winners()
-	out := make([]Ad, 0, len(keys))
+	out := make([]T, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, matches[k.pos])
+		out = append(out, items[k.pos])
 	}
 	putScratch(sc)
 	return out
@@ -84,25 +97,7 @@ func RankDiscountPercent(info MatchInfo) int64 {
 // advertiser's real commitment); ties break by ID, then by penalty so an
 // exact duplicate outranks its rewritten twin.
 func SelectMatches(query string, matches []Match, sel Selection) []Match {
-	sc := getScratch()
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	a := sc.startAuction(&sel)
-	for i := range matches {
-		m := &matches[i]
-		a.offer(&m.Ad, rankKey{
-			score: sel.score(&m.Meta) * RankDiscountPercent(m.Info) / 100,
-			id:    m.ID,
-			tie:   m.Info.Penalty(),
-			pos:   i,
-		})
-	}
-	keys := a.winners()
-	out := make([]Match, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, matches[k.pos])
-	}
-	putScratch(sc)
-	return out
+	return selectWinners(query, matches, &sel, func(m *Match) (*corpus.Ad, MatchInfo) { return &m.Ad, m.Info })
 }
 
 // rankKey places one auction candidate in the rank order: score

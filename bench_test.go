@@ -263,10 +263,11 @@ func BenchmarkExactMatch(b *testing.B) {
 
 func BenchmarkPhraseMatch(b *testing.B) {
 	benchSetup(b)
+	view := Build(bCorpus.Ads, Options{}).View()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ad := &bCorpus.Ads[i%len(bCorpus.Ads)]
-		bCore.PhraseMatch("find "+ad.Phrase+" online", nil)
+		view.PhraseMatch("find " + ad.Phrase + " online")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"adindex/internal/textnorm"
 )
 
-// QueryBudget bounds the work one broad match may perform: MaxCost in
+// QueryBudget bounds the work one search may perform: MaxCost in
 // index cost units (subset probes plus records scanned; zero means
 // unlimited) and an optional wall-clock Deadline. Now is the clock used
 // for deadline checks (nil = time.Now); tests inject a fake clock.
@@ -24,14 +24,45 @@ type QueryBudget struct {
 	Now      func() time.Time
 }
 
-// MatchResult is the outcome of a budgeted broad match. Truncated
-// results are always a correct prefix of the work: every match is fully
-// verified and, without a Selection, Ads is ID-ordered, so a truncated
-// answer is a subset of the full answer — never wrong, only incomplete.
+// Kind is the match type of a Search: how a bid phrase must occur in
+// the query.
+type Kind uint8
+
+const (
+	// Broad: every bid word occurs in the query, in any order.
+	Broad Kind = iota
+	// Exact: the bid phrase is the query, as a folded token sequence.
+	Exact
+	// Phrase: the bid phrase occurs in the query as a contiguous, ordered
+	// token run.
+	Phrase
+)
+
+// Request configures one Search. The zero Request is an unbounded broad
+// match returning every match in ID order.
+type Request struct {
+	Kind Kind
+	// Rewrite adds the planner's rewrite variants to a broad match (see
+	// BroadMatchRewrite); Exact and Phrase ignore it.
+	Rewrite bool
+	// Budget bounds the whole search, rewrite probes included.
+	Budget QueryBudget
+	// Selection, when non-nil, runs the auction before copy-out.
+	Selection *Selection
+	// Counters, when non-nil, accumulates the memory-access accounting.
+	Counters *Counters
+}
+
+// MatchResult is the outcome of a Search. Truncated results are always a
+// correct prefix of the work: every match is fully verified and, without
+// a Selection, Ads is ID-ordered, so a truncated answer is a subset of
+// the full answer — never wrong, only incomplete.
 type MatchResult struct {
 	// Ads holds every match in ID order, or with a Selection the auction
 	// winners in rank order.
 	Ads []Ad
+	// Info is how each ad of Ads was reached; nil unless Request.Rewrite.
+	Info []MatchInfo
 	// Matched counts the matches before selection.
 	Matched int
 	// Truncated reports that the budget (cost or deadline) exhausted
@@ -42,22 +73,74 @@ type MatchResult struct {
 	CutoffApplied bool
 	// CostSpent is the cost-model units this query charged.
 	CostSpent int64
+	// Rewrite is the expansion work of a Request.Rewrite search.
+	Rewrite RewriteStats
 }
 
-// appendBroadMatch appends pointers to every broad-matching record to
-// dst: base matches (minus tombstones) plus a linear scan of the delta.
-// The appended segment is ordered by ID. queryWords must be a canonical
-// word set. The returned pointers reference snapshot-internal storage;
-// public entry points copy them out before returning.
+// Matches pairs each ad of r with its match info (MatchExact without
+// Info); nil when r holds no ads.
+func (r MatchResult) Matches() []Match {
+	if len(r.Ads) == 0 {
+		return nil
+	}
+	out := make([]Match, len(r.Ads))
+	for i := range r.Ads {
+		out[i].Ad = r.Ads[i]
+		if r.Info != nil {
+			out[i].Info = r.Info[i]
+		}
+	}
+	return out
+}
+
+// phraseTest is the node-side check that turns broad-match candidates
+// into exact or phrase matches (Section III-B: "only the logic to match
+// the query against the phrase stored in the data node has to be
+// modified"). It holds the query's token sequence, folded for Exact.
+type phraseTest struct {
+	kind Kind
+	q    []string
+}
+
+func newPhraseTest(kind Kind, query string) phraseTest {
+	q := textnorm.Tokenize(query)
+	if kind == Exact {
+		q = textnorm.FoldDuplicates(q)
+	}
+	return phraseTest{kind: kind, q: q}
+}
+
+// match reports whether a bid phrase passes: its folded tokens equal the
+// query's (Exact), or its tokens occur contiguously in the query (Phrase).
+func (p phraseTest) match(phrase string) bool {
+	t := textnorm.Tokenize(phrase)
+	if p.kind == Exact {
+		return slices.Equal(textnorm.FoldDuplicates(t), p.q)
+	}
+	return textnorm.ContainsContiguous(p.q, t)
+}
+
+// appendMatches appends pointers to every record matching the query under
+// kind to dst: base matches (minus tombstones) plus a linear scan of the
+// delta, ordered by ID within the appended segment. queryWords must be the
+// query's canonical word set. Exact match starts from the base's single
+// lookup of that set, phrase and broad match from its subset enumeration;
+// exact and phrase then keep only the records passing phraseTest. The
+// returned pointers reference snapshot-internal storage; public entry
+// points copy them out before returning.
 //
 // The base match charges b per probe and per scanned record and stops
 // at node granularity once b is exhausted (a zero Budget never is); the
 // delta overlay (bounded by MaxDeltaAds) is charged as one unit of its
 // length and always scanned whole, so freshly inserted ads stay visible
 // even in truncated answers.
-func (s *snapshot) appendBroadMatch(dst []*corpus.Ad, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []*corpus.Ad {
+func (s *snapshot) appendMatches(dst []*corpus.Ad, kind Kind, query string, queryWords []string, counters *costmodel.Counters, sc *core.Scratch, b *core.Budget) []*corpus.Ad {
 	mark := len(dst)
-	dst = s.base.AppendBroadMatchBudget(dst, queryWords, counters, sc, b)
+	if kind == Exact {
+		dst = s.base.AppendExactMatch(dst, query, counters, b)
+	} else {
+		dst = s.base.AppendBroadMatchBudget(dst, queryWords, counters, sc, b)
+	}
 	if len(s.tombs) > 0 {
 		dst = s.filterTombs(dst, mark, counters)
 	}
@@ -96,50 +179,82 @@ func (s *snapshot) appendBroadMatch(dst []*corpus.Ad, queryWords []string, count
 			slices.SortFunc(dst[mark:], adByID)
 		}
 	}
+	if kind != Broad {
+		p := newPhraseTest(kind, query)
+		w := mark
+		for _, m := range dst[mark:] {
+			if p.match(m.Phrase) {
+				dst[w] = m
+				w++
+			}
+		}
+		if counters != nil {
+			counters.Matches -= int64(len(dst) - w)
+		}
+		clear(dst[w:])
+		dst = dst[:w]
+	}
 	return dst
 }
 
-// Search is the broad-match query path: it tokenizes query once, matches
-// it under qb, and with a non-nil sel runs the auction over the matches
-// before anything is copied out, so only the winners are deep-copied
-// (SelectAds over the full ID-ordered match list picks the same ads).
-// With a nil sel, Ads holds every match in ID order. counters, when
-// non-nil, accumulates the match's memory-access accounting.
-func (v View) Search(query string, qb QueryBudget, sel *Selection, counters *Counters) MatchResult {
-	return v.search(nil, query, qb, sel, counters)
+// Search is the one query path: it tokenizes query once, matches it under
+// r.Kind (with r.Rewrite's variants) and r.Budget, and with a Selection
+// runs the auction over the matches before anything is copied out, so
+// only the winners are deep-copied (SelectAds, or SelectMatches for a
+// rewritten search, over the full ID-ordered match list picks the same
+// ads). Without a Selection, Ads holds every match in ID order.
+func (v View) Search(query string, r Request) MatchResult {
+	return v.search(nil, query, r)
 }
 
 // search is Search appending the copied-out ads to dst, the one body
-// behind every View broad-match entry point. Ads is nil when dst is nil
-// and nothing is appended, except that a Selection always yields a
-// non-nil slice (so a served auction with no winners encodes as []).
-func (v View) search(dst []Ad, query string, qb QueryBudget, sel *Selection, counters *Counters) MatchResult {
+// behind every View read entry point. Ads is nil when dst is nil and
+// nothing is appended, except that a Selection always yields a non-nil
+// slice (so a served auction with no winners encodes as []).
+func (v View) search(dst []Ad, query string, r Request) MatchResult {
 	sc := getScratch()
-	sc.budget = core.Budget{MaxCost: qb.MaxCost, Deadline: qb.Deadline, Now: qb.Now}
+	sc.budget = core.Budget{MaxCost: r.Budget.MaxCost, Deadline: r.Budget.Deadline, Now: r.Budget.Now}
 	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
-	sc.matches = v.s.appendBroadMatch(sc.matches[:0], sc.words, counters, &sc.core, &sc.budget)
-	res := MatchResult{
-		Matched:       len(sc.matches),
-		Truncated:     sc.budget.Exhausted(),
-		CutoffApplied: sc.budget.CutoffApplied(),
-		CostSpent:     sc.budget.Spent(),
+	var res MatchResult
+	rewrite := r.Rewrite && r.Kind == Broad
+	if rewrite {
+		res.Rewrite = v.appendRewrites(sc, r.Counters)
+	} else {
+		sc.matches = v.s.appendMatches(sc.matches[:0], r.Kind, query, sc.words, r.Counters, &sc.core, &sc.budget)
 	}
-	copyOut := sc.matches
-	if sel != nil {
+	res.Matched = len(sc.matches)
+	res.Truncated = sc.budget.Exhausted()
+	res.CutoffApplied = sc.budget.CutoffApplied()
+	res.CostSpent = sc.budget.Spent()
+	copyOut, infos := sc.matches, sc.infos
+	if sel := r.Selection; sel != nil {
 		a := sc.startAuction(sel)
+		var info MatchInfo
 		for i, m := range sc.matches[:res.Matched] {
-			a.offer(m, rankKey{score: sel.score(&m.Meta), id: m.ID, pos: i})
+			if rewrite {
+				info = sc.infos[i]
+			}
+			a.offer(m, sel.key(m, info, i))
 		}
-		// The winners' pointers go after the matches, in rank order.
+		// The winners go after the matches, in rank order.
 		for _, k := range a.winners() {
 			sc.matches = append(sc.matches, sc.matches[k.pos])
+			if rewrite {
+				sc.infos = append(sc.infos, sc.infos[k.pos])
+			}
 		}
 		copyOut = sc.matches[res.Matched:]
+		if rewrite {
+			infos = sc.infos[res.Matched:]
+		}
 		if dst == nil {
 			dst = make([]Ad, 0, len(copyOut))
 		}
 	}
 	res.Ads = appendAdCopies(dst, copyOut)
+	if rewrite {
+		res.Info = slices.Clone(infos)
+	}
 	putScratch(sc)
 	return res
 }
@@ -150,7 +265,7 @@ func (v View) search(dst []Ad, query string, qb QueryBudget, sel *Selection, cou
 // true match. A zero QueryBudget matches without bound (and still
 // reports CutoffApplied, surfacing the MaxQueryWords drop).
 func (v View) BroadMatchBudget(query string, qb QueryBudget) MatchResult {
-	return v.Search(query, qb, nil, nil)
+	return v.Search(query, Request{Budget: qb})
 }
 
 // BroadMatchBudget is View.BroadMatchBudget on the current snapshot.

@@ -142,10 +142,10 @@ func TestSearchAllocsIndependentOfMatchCount(t *testing.T) {
 	view := Build(ads, Options{}).View()
 	sel := &Selection{MaxResults: 8}
 	search := func(q string) func() {
-		return func() { view.Search(q, QueryBudget{}, sel, nil) }
+		return func() { view.Search(q, Request{Selection: sel}) }
 	}
 	big, small := search("red running shoes"), search("red hiking boots")
-	if m := view.Search("red running shoes", QueryBudget{}, sel, nil).Matched; m != 600 {
+	if m := view.Search("red running shoes", Request{Selection: sel}).Matched; m != 600 {
 		t.Fatalf("big query matched %d, want 600", m)
 	}
 	if a, b := testing.AllocsPerRun(200, big), testing.AllocsPerRun(200, small); a > b {

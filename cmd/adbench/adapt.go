@@ -91,7 +91,7 @@ func newAdaptIndex(ads []adindex.Ad) *adaptIndex {
 func (a *adaptIndex) query(q string) {
 	var c adindex.Counters
 	t0 := time.Now()
-	res := a.ix.View().Search(q, adindex.QueryBudget{}, nil, &c)
+	res := a.ix.View().Search(q, adindex.Request{Counters: &c})
 	a.ix.RecordQueryCost(&c, time.Since(t0).Nanoseconds())
 	a.ix.Observe(q)
 	a.hist.Observe(c.Cost(a.ix.Model()))

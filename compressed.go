@@ -4,7 +4,6 @@ import (
 	"io"
 
 	"adindex/internal/hashindex"
-	"adindex/internal/textnorm"
 )
 
 // CompressedIndex is an immutable, compressed snapshot of an Index: data
@@ -61,66 +60,34 @@ func (c *CompressedIndex) BroadMatch(query string) ([]Ad, error) {
 // ExactMatch returns ads whose bid phrase equals the query as a
 // normalized token sequence. The compressed structure keeps no per-set
 // directory, so candidates come from the broad-match probes and are
-// filtered (Section III-B: "only the logic to match the query against the
-// phrase stored in the data node has to be modified").
+// filtered by the live index's phrase check (Section III-B: "only the
+// logic to match the query against the phrase stored in the data node has
+// to be modified").
 func (c *CompressedIndex) ExactMatch(query string) ([]Ad, error) {
-	qTokens := textnorm.FoldDuplicates(textnorm.Tokenize(query))
-	candidates, err := c.inner.BroadMatchText(query, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := candidates[:0:0]
-	for _, ad := range candidates {
-		if tokenSeqEqual(textnorm.FoldDuplicates(textnorm.Tokenize(ad.Phrase)), qTokens) {
-			out = append(out, ad)
-		}
-	}
-	return out, nil
+	return c.filtered(Exact, query)
 }
 
 // PhraseMatch returns ads whose bid phrase occurs in the query as an
 // ordered contiguous token subsequence.
 func (c *CompressedIndex) PhraseMatch(query string) ([]Ad, error) {
-	qTokens := textnorm.Tokenize(query)
+	return c.filtered(Phrase, query)
+}
+
+// filtered is the broad-match candidates of query that pass kind's
+// phrase check.
+func (c *CompressedIndex) filtered(kind Kind, query string) ([]Ad, error) {
 	candidates, err := c.inner.BroadMatchText(query, nil)
 	if err != nil {
 		return nil, err
 	}
+	p := newPhraseTest(kind, query)
 	out := candidates[:0:0]
 	for _, ad := range candidates {
-		if containsContiguousTokens(qTokens, textnorm.Tokenize(ad.Phrase)) {
+		if p.match(ad.Phrase) {
 			out = append(out, ad)
 		}
 	}
 	return out, nil
-}
-
-func tokenSeqEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsContiguousTokens(haystack, needle []string) bool {
-	if len(needle) == 0 || len(needle) > len(haystack) {
-		return len(needle) == 0
-	}
-outer:
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j := range needle {
-			if haystack[i+j] != needle[j] {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
 }
 
 // BroadMatchCounted is BroadMatch with memory-access accounting.

@@ -258,7 +258,7 @@ func TestDifferentialSearchVsSelectAds(t *testing.T) {
 					cut++
 				}
 				for _, sel := range sels {
-					got := view.Search(q, qb, &sel, nil)
+					got := view.Search(q, Request{Budget: qb, Selection: &sel})
 					want := SelectAds(q, full.Ads, sel)
 					if !reflect.DeepEqual(got.Ads, want) {
 						t.Fatalf("seed %d %q budget %d %+v: Search winners %v, SelectAds %v",
@@ -280,14 +280,21 @@ func TestDifferentialSearchVsSelectAds(t *testing.T) {
 	}
 }
 
-// TestDifferentialEntryPoints: every View broad-match entry point agrees
-// with a brute-force words(P) ⊆ Q scan of the live ads, over base
-// tombstones and overlay inserts — BroadMatch, BroadMatchCounted (its
+// TestDifferentialEntryPoints: every View read entry point agrees with a
+// brute-force scan of the live ads, over base tombstones and overlay
+// inserts. Broad match is words(P) ⊆ Q: BroadMatch, BroadMatchCounted (its
 // match counter included), BroadMatchAppend onto a non-empty dst (prefix
 // untouched), BroadMatchBatch over the whole query list, an unbounded
 // Search, and BroadMatchRewrite on an index without rewriting (every hit
-// MatchExact). No match is nil from every entry point but Append.
+// MatchExact). Exact match is equal folded token sequences and phrase
+// match a broad match whose tokens occur contiguously in the query:
+// ExactMatch, PhraseMatch, and Search of each Kind, whose match counter
+// counts the kind's matches and whose auction picks SelectAds' winners
+// over the kind's full list. No match is nil from every entry point but
+// Append.
 func TestDifferentialEntryPoints(t *testing.T) {
+	sels := []Selection{{}, {MaxResults: 1}, {MaxResults: 3, RankByExpectedRevenue: true}, {MinBidMicros: 3000}}
+	kindMatches := map[Kind]int{}
 	tombs, delta, empty := 0, 0, 0
 	for seed := int64(0); seed < diffCorpora; seed++ {
 		ix, live, rng := diffCorpus(seed)
@@ -333,7 +340,7 @@ func TestDifferentialEntryPoints(t *testing.T) {
 					seed, q, c.Queries, c.Matches, len(want))
 			}
 			check("BroadMatchBatch", batch[qi])
-			res := view.Search(q, QueryBudget{}, nil, nil)
+			res := view.Search(q, Request{})
 			check("Search", res.Ads)
 			if res.Matched != len(want) || res.Truncated {
 				t.Fatalf("seed %d: Search(%q) matched %d truncated %v, want %d false",
@@ -363,9 +370,53 @@ func TestDifferentialEntryPoints(t *testing.T) {
 				t.Fatalf("seed %d: BroadMatchRewrite(%q) without rewriting spent %d probes on %d variants",
 					seed, q, stats.Probes, stats.Variants)
 			}
+
+			qFolded := strings.Join(textnorm.FoldDuplicates(textnorm.Tokenize(q)), " ")
+			qSeq := " " + strings.Join(textnorm.Tokenize(q), " ") + " "
+			kindWant := map[Kind][]Ad{Broad: want}
+			for _, ad := range want {
+				toks := textnorm.Tokenize(ad.Phrase)
+				if strings.Join(textnorm.FoldDuplicates(toks), " ") == qFolded {
+					kindWant[Exact] = append(kindWant[Exact], ad)
+				}
+				if strings.Contains(qSeq, " "+strings.Join(toks, " ")+" ") {
+					kindWant[Phrase] = append(kindWant[Phrase], ad)
+				}
+			}
+			checkKind := func(name string, got, want []Ad) {
+				t.Helper()
+				if len(want) == 0 && got != nil {
+					t.Fatalf("seed %d: %s(%q) = %v, want nil", seed, name, q, summarize(got))
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: %s(%q) diverges:\ngot  %v\nwant %v",
+						seed, name, q, summarize(got), summarize(want))
+				}
+			}
+			checkKind("ExactMatch", view.ExactMatch(q), kindWant[Exact])
+			checkKind("PhraseMatch", view.PhraseMatch(q), kindWant[Phrase])
+			for _, kind := range []Kind{Broad, Exact, Phrase} {
+				kw := kindWant[kind]
+				kindMatches[kind] += len(kw)
+				var kc Counters
+				res := view.Search(q, Request{Kind: kind, Counters: &kc})
+				checkKind(fmt.Sprintf("Search(Kind %d)", kind), res.Ads, kw)
+				if res.Matched != len(kw) || res.Truncated || kc.Queries != 1 || kc.Matches != int64(len(kw)) {
+					t.Fatalf("seed %d: Search(%q, Kind %d) matched %d truncated %v, counted %d queries %d matches; want %d",
+						seed, q, kind, res.Matched, res.Truncated, kc.Queries, kc.Matches, len(kw))
+				}
+				for _, sel := range sels {
+					got := view.Search(q, Request{Kind: kind, Selection: &sel})
+					if w := SelectAds(q, kw, sel); !reflect.DeepEqual(got.Ads, w) || got.Matched != len(kw) {
+						t.Fatalf("seed %d: Search(%q, Kind %d, %+v) winners %v, SelectAds %v",
+							seed, q, kind, sel, summarize(got.Ads), summarize(w))
+					}
+				}
+			}
 		}
 	}
-	if tombs == 0 || delta == 0 || empty == 0 {
-		t.Fatalf("corpora missed a case: %d tombstones, %d overlay ads, %d no-match queries", tombs, delta, empty)
+	if tombs == 0 || delta == 0 || empty == 0 || kindMatches[Exact] == 0 || kindMatches[Phrase] <= kindMatches[Exact] {
+		t.Fatalf("corpora missed a case: %d tombstones, %d overlay ads, %d no-match queries, %v matches per kind",
+			tombs, delta, empty, kindMatches)
 	}
 }

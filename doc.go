@@ -22,8 +22,12 @@
 //
 // Exact-match and phrase-match retrieval are available through ExactMatch
 // and PhraseMatch; SelectAds applies the secondary auction filters
-// (exclusion keywords, bid floors, ranking). View.Search runs a budgeted
-// broad match and the auction in one call, copying out only the winners.
+// (exclusion keywords, bid floors, ranking). View.Search is the one query
+// path under all of them: a Request picks the match Kind (Broad, Exact or
+// Phrase), optional typo/synonym rewriting, a cost budget and an auction,
+// and only the winners are copied out. Exact and phrase match reuse broad
+// match's candidate retrieval and change only the check against the
+// stored phrase, as Section III-B of the paper describes.
 //
 // # Workload adaptation
 //

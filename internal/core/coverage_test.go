@@ -67,21 +67,6 @@ func TestExactMatchHashSiblingFiltered(t *testing.T) {
 	}
 }
 
-func TestPhraseMatchCounted(t *testing.T) {
-	ix := New(mustAds("used books", "rare maps"), Options{})
-	var c costmodel.Counters
-	got := ix.PhraseMatch("buy used books here", &c)
-	if len(got) != 1 {
-		t.Fatalf("got %v", got)
-	}
-	if c.Queries != 1 || c.Matches != 1 || c.PhrasesChecked == 0 {
-		t.Errorf("counters: %+v", c)
-	}
-	if got := ix.PhraseMatch("zzz yyy", &c); got != nil {
-		t.Errorf("unknown words matched %v", got)
-	}
-}
-
 func TestPrepareQueryCutoffKeepsRarest(t *testing.T) {
 	// 6 indexed words, cutoff 3: the 3 rarest must be kept.
 	ads := mustAds(
@@ -93,7 +78,7 @@ func TestPrepareQueryCutoffKeepsRarest(t *testing.T) {
 		"w6",
 	)
 	ix := New(ads, Options{MaxWords: 3, MaxQueryWords: 3})
-	q := ix.prepareQuery([]string{"w1", "w2", "w3", "w4", "w5", "w6"})
+	q := ix.prepareQueryInto(nil, []string{"w1", "w2", "w3", "w4", "w5", "w6"})
 	if len(q) != 3 {
 		t.Fatalf("q = %v", q)
 	}

@@ -372,25 +372,6 @@ func TestExactMatchAfterRemap(t *testing.T) {
 	}
 }
 
-func TestPhraseMatch(t *testing.T) {
-	ads := mustAds("used books", "books used", "cheap books")
-	ix := New(ads, Options{})
-	got := matchIDs(ix.PhraseMatch("buy used books online", nil))
-	if !reflect.DeepEqual(got, []uint64{1}) {
-		t.Errorf("PhraseMatch = %v, want [1] (order must be respected)", got)
-	}
-	got = matchIDs(ix.PhraseMatch("books used", nil))
-	if !reflect.DeepEqual(got, []uint64{2}) {
-		t.Errorf("PhraseMatch('books used') = %v, want [2]", got)
-	}
-	if got := ix.PhraseMatch("used cheap books", nil); !reflect.DeepEqual(matchIDs(got), []uint64{3}) {
-		t.Errorf("'used cheap books' should phrase-match only 'cheap books', got %v", matchIDs(got))
-	}
-	if got := ix.PhraseMatch("", nil); got != nil {
-		t.Errorf("PhraseMatch('') = %v", matchIDs(got))
-	}
-}
-
 func TestCountersAccounting(t *testing.T) {
 	ads := mustAds("a b", "a c", "b c")
 	ix := New(ads, Options{MemHash: 16})

@@ -247,28 +247,39 @@ func (ix *Index) BroadMatchText(query string, counters *costmodel.Counters) []*c
 // sequence (after normalization and duplicate folding). It requires a
 // single hash lookup: the node of the query's own word set.
 func (ix *Index) ExactMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
+	return ix.AppendExactMatch(nil, query, counters, nil)
+}
+
+// AppendExactMatch is ExactMatch appending into dst under a budget (nil
+// matches without bound). The lookup is charged one unit, like a subset
+// probe, and the node its record count; the node is scanned whole once
+// the lookup was paid for.
+func (ix *Index) AppendExactMatch(dst []*corpus.Ad, query string, counters *costmodel.Counters, b *Budget) []*corpus.Ad {
 	qTokens := textnorm.FoldDuplicates(textnorm.Tokenize(query))
 	qset := textnorm.CanonicalSet(qTokens)
 	if counters != nil {
 		counters.Queries++
 	}
-	if len(qset) == 0 {
-		return nil
+	if len(qset) == 0 || (b != nil && !b.Charge(1)) {
+		return dst
 	}
 	key := setKey(qset)
 	locKey, ok := ix.lookupLocator(key, counters)
 	if !ok {
-		return nil
+		return dst
 	}
 	n := ix.table.get(WordHash(ix.locWords[locKey]))
 	if n == nil {
-		return nil
+		return dst
 	}
-	var matches []*corpus.Ad
 	if counters != nil {
 		counters.RandomAccesses++
 		counters.NodesVisited++
 	}
+	if b != nil {
+		b.Charge(int64(len(n.records)))
+	}
+	mark := len(dst)
 	for i := range n.records {
 		rec := &n.records[i]
 		if len(rec.Words) > len(qset) {
@@ -283,55 +294,14 @@ func (ix *Index) ExactMatch(query string, counters *costmodel.Counters) []*corpu
 		}
 		pTokens := textnorm.FoldDuplicates(textnorm.Tokenize(rec.Phrase))
 		if slices.Equal(pTokens, qTokens) {
-			matches = append(matches, rec)
+			dst = append(dst, rec)
 		}
 	}
-	slices.SortFunc(matches, byID)
+	slices.SortFunc(dst[mark:], byID)
 	if counters != nil {
-		counters.Matches += int64(len(matches))
+		counters.Matches += int64(len(dst) - mark)
 	}
-	return matches
-}
-
-// PhraseMatch returns ads whose bid phrase occurs in the query as a
-// contiguous, ordered token subsequence. Candidate retrieval reuses the
-// broad-match lookups (a contiguously occurring phrase's word set is a
-// subset of the query's); only the node-side matching logic differs, as
-// Section III-B describes.
-func (ix *Index) PhraseMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
-	qTokens := textnorm.Tokenize(query)
-	var sc Scratch
-	q := ix.prepareQuery(textnorm.CanonicalSet(textnorm.FoldDuplicates(qTokens)))
-	if counters != nil {
-		counters.Queries++
-	}
-	if len(q) == 0 {
-		return nil
-	}
-	var matches []*corpus.Ad
-	for _, n := range ix.appendCandidateNodes(q, counters, &sc, nil) {
-		for i := range n.records {
-			rec := &n.records[i]
-			if len(rec.Words) > len(q) {
-				break
-			}
-			if counters != nil {
-				counters.PhrasesChecked++
-				counters.BytesScanned += int64(rec.Size())
-			}
-			if !textnorm.IsSubset(rec.Words, q) {
-				continue
-			}
-			if textnorm.ContainsContiguous(qTokens, textnorm.Tokenize(rec.Phrase)) {
-				matches = append(matches, rec)
-			}
-		}
-	}
-	slices.SortFunc(matches, byID)
-	if counters != nil {
-		counters.Matches += int64(len(matches))
-	}
-	return matches
+	return dst
 }
 
 // lookupLocator resolves a set key to its locator key, charging one hash
@@ -344,12 +314,6 @@ func (ix *Index) lookupLocator(key string, counters *costmodel.Counters) (string
 	}
 	locKey, ok := ix.locOf[key]
 	return locKey, ok
-}
-
-// prepareQuery canonicalizes the query for subset enumeration; see
-// prepareQueryInto.
-func (ix *Index) prepareQuery(queryWords []string) []string {
-	return ix.prepareQueryInto(make([]string, 0, len(queryWords)), queryWords)
 }
 
 // prepareQueryInto appends the prepared form of queryWords to buf: words

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -174,7 +175,9 @@ func EncodeDeadlineRequest(remaining time.Duration, body []byte) []byte {
 
 // DecodeDeadlineRequest splits a deadline-tagged request into the
 // remaining budget and body, reporting tagged=false for untagged
-// requests.
+// requests. A budget past the largest time.Duration decodes as that
+// largest Duration (a budget without practical end) instead of wrapping
+// to a non-positive, already-expired one.
 func DecodeDeadlineRequest(req []byte) (remaining time.Duration, body []byte, tagged bool, err error) {
 	if len(req) == 0 || req[0] != deadlineReqMagic {
 		return 0, req, false, nil
@@ -182,8 +185,16 @@ func DecodeDeadlineRequest(req []byte) (remaining time.Duration, body []byte, ta
 	if len(req) < 9 {
 		return 0, nil, true, fmt.Errorf("multiserver: deadline request of %d bytes shorter than its 9-byte header", len(req))
 	}
-	return time.Duration(binary.BigEndian.Uint64(req[1:9])) * time.Microsecond, req[9:], true, nil
+	us := binary.BigEndian.Uint64(req[1:9])
+	if us > maxDeadlineMicros {
+		return time.Duration(math.MaxInt64), req[9:], true, nil
+	}
+	return time.Duration(us) * time.Microsecond, req[9:], true, nil
 }
+
+// maxDeadlineMicros is the largest microsecond budget a time.Duration
+// holds.
+const maxDeadlineMicros = uint64(math.MaxInt64 / int64(time.Microsecond))
 
 func writeFrame(w io.Writer, payload []byte) error {
 	var hdr [4]byte

@@ -2,7 +2,9 @@ package multiserver
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +103,93 @@ func TestDeadlineRequestRoundTrip(t *testing.T) {
 	if _, _, _, err := DecodeDeadlineRequest(wire[:5]); err == nil {
 		t.Fatal("truncated deadline header accepted")
 	}
+}
+
+// TestDeadlineRequestHugeBudget: a budget past the largest
+// time.Duration decodes as that Duration, not as a wrapped non-positive
+// (already expired) one.
+func TestDeadlineRequestHugeBudget(t *testing.T) {
+	body := []byte("used books")
+	for _, us := range []uint64{1 << 54, 1 << 63, math.MaxUint64, maxDeadlineMicros + 1} {
+		wire := make([]byte, 9, 9+len(body))
+		wire[0] = deadlineReqMagic
+		binary.BigEndian.PutUint64(wire[1:9], us)
+		wire = append(wire, body...)
+		remaining, got, tagged, err := DecodeDeadlineRequest(wire)
+		if err != nil || !tagged || !bytes.Equal(got, body) {
+			t.Fatalf("%d us: tagged=%v body=%q err=%v", us, tagged, got, err)
+		}
+		if remaining != time.Duration(math.MaxInt64) {
+			t.Fatalf("%d us decoded as %v, want the largest Duration", us, remaining)
+		}
+	}
+	// The largest representable budget still decodes exactly.
+	wire := EncodeDeadlineRequest(time.Duration(maxDeadlineMicros)*time.Microsecond, body)
+	if remaining, _, _, _ := DecodeDeadlineRequest(wire); remaining != time.Duration(maxDeadlineMicros)*time.Microsecond {
+		t.Fatalf("largest exact budget decoded as %v", remaining)
+	}
+}
+
+// FuzzDecodeRequestTags: the deadline and epoch tag decoders, alone and
+// nested the way servers read them (deadline outermost), never panic,
+// return a body that is a suffix of the input and a non-negative budget,
+// and re-encoding what they accept reproduces the input (a budget past
+// the largest Duration re-encodes as the largest one).
+func FuzzDecodeRequestTags(f *testing.F) {
+	body := []byte("used books")
+	f.Add(body)
+	f.Add(EncodeEpochRequest(42, body))
+	f.Add(EncodeDeadlineRequest(1500*time.Microsecond, body))
+	f.Add(EncodeDeadlineRequest(time.Second, EncodeEpochRequest(7, body)))
+	f.Add([]byte{deadlineReqMagic, 0x00, 0x40, 0, 0, 0, 0, 0, 0, 'q'}) // 2^54 us
+	f.Add([]byte{deadlineReqMagic, 0x80, 0, 0, 0, 0, 0, 0, 0})         // 2^63 us
+	f.Add([]byte{epochReqMagic, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		epoch, ebody, etagged, eerr := DecodeEpochRequest(data)
+		if eerr == nil && !bytes.HasSuffix(data, ebody) {
+			t.Fatalf("epoch body %q is not a suffix of % x", ebody, data)
+		}
+		if eerr == nil && etagged && !bytes.Equal(EncodeEpochRequest(epoch, ebody), data) {
+			t.Fatalf("epoch re-encoding differs from % x", data)
+		}
+
+		remaining, inner, dtagged, derr := DecodeDeadlineRequest(data)
+		if derr != nil {
+			return
+		}
+		if remaining < 0 {
+			t.Fatalf("negative budget %v from % x", remaining, data)
+		}
+		if !bytes.HasSuffix(data, inner) {
+			t.Fatalf("deadline body %q is not a suffix of % x", inner, data)
+		}
+		epoch, ebody, etagged, eerr = DecodeEpochRequest(inner)
+		if eerr != nil {
+			return
+		}
+		if !bytes.HasSuffix(data, ebody) {
+			t.Fatalf("nested epoch body %q is not a suffix of % x", ebody, data)
+		}
+		back := ebody
+		if etagged {
+			back = EncodeEpochRequest(epoch, back)
+		}
+		if dtagged {
+			want := data
+			if binary.BigEndian.Uint64(data[1:9]) > maxDeadlineMicros {
+				if remaining != time.Duration(math.MaxInt64) {
+					t.Fatalf("oversized budget decoded as %v", remaining)
+				}
+				want = bytes.Clone(data)
+				binary.BigEndian.PutUint64(want[1:9], maxDeadlineMicros)
+			}
+			if back = EncodeDeadlineRequest(remaining, back); !bytes.Equal(back, want) {
+				t.Fatalf("nested re-encoding differs:\ninput % x\nback  % x", want, back)
+			}
+		} else if !bytes.Equal(back, data) {
+			t.Fatalf("untagged re-encoding differs:\ninput % x\nback  % x", data, back)
+		}
+	})
 }
 
 // TestDeadlineExpiredOverWire: a request whose budget is spent is

@@ -215,14 +215,22 @@ func TestOverloadFlood(t *testing.T) {
 	if budget < 1 {
 		budget = 1
 	}
-	var minAdv int64 = -1
+	var minAdv, heavyCost int64 = -1, 0
+	var heavy string // the adversarial query with the costliest shard
 	for i := range adv.Queries {
 		q := strings.Join(adv.Queries[i].Words, " ")
 		for _, ix := range shardIx {
-			if spent := ix.BroadMatchBudget(q, adindex.QueryBudget{}).CostSpent; minAdv < 0 || spent < minAdv {
+			spent := ix.BroadMatchBudget(q, adindex.QueryBudget{}).CostSpent
+			if minAdv < 0 || spent < minAdv {
 				minAdv = spent
 			}
+			if spent > heavyCost {
+				heavy, heavyCost = q, spent
+			}
 		}
+	}
+	if heavyCost <= budget {
+		t.Fatalf("no adversarial query costs more than the budget %d on any shard (max %d)", budget, heavyCost)
 	}
 	t.Logf("budget=%d (max steady shard cost %d, min adversarial shard cost %d)",
 		budget, maxSteady, minAdv)
@@ -411,6 +419,28 @@ func TestOverloadFlood(t *testing.T) {
 	if acceptedP99 > limit {
 		t.Errorf("accepted p99 %v exceeds %v (2x steady p99 %v with 250ms floor)",
 			acceptedP99, limit, steadyP99)
+	}
+
+	// Which adversarial fingerprints collect DefaultQuarantineStrikes
+	// truncated answers during the flood depends on how shedding
+	// interleaves with them, so promotion is driven deterministically
+	// too: the costliest adversarial query is replayed serially, each
+	// accepted replay a truncated answer (one strike), until the
+	// quarantine fast-rejects it.
+	for strikes := 0; ; strikes++ {
+		o := floodGet(client, base, heavy)
+		if o.err != nil {
+			t.Fatalf("replay of %q: %v", heavy, o.err)
+		}
+		if o.status == http.StatusServiceUnavailable {
+			break
+		}
+		if o.status != http.StatusOK || !o.truncated {
+			t.Fatalf("replay of %q: status %d truncated %v, want a truncated answer", heavy, o.status, o.truncated)
+		}
+		if strikes == DefaultQuarantineStrikes {
+			t.Fatalf("%q still admitted after %d truncated replays", heavy, strikes+1)
+		}
 	}
 
 	// The armor's counters saw what the client saw: contained zero panics,

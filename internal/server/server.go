@@ -67,8 +67,9 @@ type Config struct {
 	// 0 selects 1s.
 	RetryAfter time.Duration
 	// QueryBudget bounds the index work (cost-model units: subset probes
-	// plus records scanned) one broad-match query may perform; exhausted
-	// queries return their verified partial results flagged truncated.
+	// plus records scanned) one /search query of any type may perform,
+	// rewrite probes included; exhausted queries return their verified
+	// partial results flagged truncated.
 	// 0 disables the cost bound (the request deadline still applies).
 	QueryBudget int64
 	// ShedTargetDelay enables CoDel-style admission shedding: when the
@@ -81,8 +82,8 @@ type Config struct {
 	// (DefaultQuarantineStrikes within one TTL) are fast-rejected at
 	// admission for this long. 0 disables quarantine.
 	QuarantineTTL time.Duration
-	// TrackCost enables per-query modeled-cost accounting on the broad
-	// match path: access counters are attributed to the index
+	// TrackCost enables per-query modeled-cost accounting on the local
+	// search path: access counters are attributed to the index
 	// (Index.RecordQueryCost, feeding adaptation's recalibration) and the
 	// modeled cost lands in the /metrics adapt.query_cost histogram.
 	TrackCost bool
@@ -429,23 +430,27 @@ type searchResponse struct {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	q := params.Get("q")
 	if strings.TrimSpace(q) == "" {
 		s.metrics.BadRequests.Add(1)
 		http.Error(w, "missing q parameter", http.StatusBadRequest)
 		return
 	}
-	matchType := r.URL.Query().Get("type")
+	matchType, kind := params.Get("type"), adindex.Broad
 	switch matchType {
-	case "":
+	case "", "broad":
 		matchType = "broad"
-	case "broad", "exact", "phrase":
+	case "exact":
+		kind = adindex.Exact
+	case "phrase":
+		kind = adindex.Phrase
 	default:
 		s.metrics.BadRequests.Add(1)
 		http.Error(w, "type must be broad, exact, or phrase", http.StatusBadRequest)
 		return
 	}
-	rewriteMode := r.URL.Query().Get("rewrite")
+	rewriteMode := params.Get("rewrite")
 	switch rewriteMode {
 	case "", "off", "on":
 	default:
@@ -516,8 +521,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.notReady(w)
 		return
 	}
-	if rewriteMode == "on" {
-		s.searchRewrite(w, ix, q, start)
+	rewrite := rewriteMode == "on"
+	if rewrite && !s.rewriteEnabled(w, ix) {
 		return
 	}
 
@@ -525,52 +530,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		panic("injected test panic")
 	}
 	ix.Observe(q)
-	// A View pins the epoch and the match results to the same snapshot:
-	// a cache entry can never pair an epoch with results computed against
-	// a different index state, so a stale result is never served.
-	view := ix.View()
-	epoch := view.Epoch()
-	res, hit := s.cache.Get(key, epoch)
-	if hit {
-		res.CostSpent = 0 // a hit spends no index work
-	} else {
-		switch matchType {
-		case "exact":
-			res = s.selectFrom(q, view.ExactMatch(q))
-		case "phrase":
-			res = s.selectFrom(q, view.PhraseMatch(q))
-		default:
-			// Broad match runs under the cost budget and the request
-			// deadline; a truncated answer is a verified subset, flagged.
-			// The auction runs inside the search, before copy-out.
-			deadline, _ := ctx.Deadline()
-			qb := adindex.QueryBudget{
-				MaxCost:  s.cfg.QueryBudget,
-				Deadline: deadline,
-			}
-			if s.cfg.TrackCost {
-				// The same search, with its access counters attributed to
-				// the index (feeding adaptation's cost-model recalibration)
-				// and its modeled cost recorded in the per-query cost
-				// histogram.
-				var c adindex.Counters
-				matchStart := time.Now()
-				res = view.Search(q, qb, s.cfg.Selection, &c)
-				ix.RecordQueryCost(&c, time.Since(matchStart).Nanoseconds())
-				s.metrics.Cost.Observe(c.Cost(ix.Model()))
-			} else {
-				res = view.Search(q, qb, s.cfg.Selection, nil)
-			}
-		}
-		if res.Truncated {
-			// Never cache a partial answer, and strike the fingerprint:
-			// enough blowouts inside the TTL window quarantine it.
-			s.metrics.BudgetTruncated.Add(1)
-			s.quarantine.NoteBudgetBlown(key)
-		} else {
-			s.cache.Put(key, epoch, res)
-		}
-	}
+	// Every type and rewrite mode runs under the cost budget and the
+	// request deadline; a truncated answer is a verified subset, flagged.
+	deadline, _ := ctx.Deadline()
+	res, hit := s.answer(ix, ix.View(), key, q, adindex.Request{
+		Kind:    kind,
+		Rewrite: rewrite,
+		Budget:  adindex.QueryBudget{MaxCost: s.cfg.QueryBudget, Deadline: deadline},
+	})
 	if res.CutoffApplied {
 		s.metrics.Cutoffs.Add(1)
 	}
@@ -578,88 +545,77 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(s.handlerDelay)
 	}
 
-	took := time.Since(start)
-	s.writeJSON(w, searchResponse{
+	resp := searchResponse{
 		Query:         q,
 		Type:          matchType,
 		Matched:       res.Matched,
 		Cached:        hit,
 		Ads:           res.Ads,
-		TookUS:        took.Microseconds(),
 		Truncated:     res.Truncated,
 		CutoffApplied: res.CutoffApplied,
 		CostSpent:     res.CostSpent,
-	})
+	}
+	if rewrite {
+		resp.Ads, resp.Matches, resp.Rewrite = nil, res.Matches(), newRewriteStatsJSON(res.Rewrite)
+	}
+	resp.TookUS = time.Since(start).Microseconds()
+	s.writeJSON(w, resp)
 	s.metrics.Latency.Observe(time.Since(start))
 }
 
-// selectFrom is the answer served for exact or phrase matches: the
-// auction winners when the server has a Selection, else every match.
-func (s *Server) selectFrom(q string, matches []adindex.Ad) adindex.MatchResult {
-	res := adindex.MatchResult{Ads: matches, Matched: len(matches)}
-	if s.cfg.Selection != nil {
-		res.Ads = adindex.SelectAds(q, matches, *s.cfg.Selection)
+// answer serves one query on view with the server's Selection: from the
+// result cache when it holds the answer at view's epoch, else through
+// one View.Search under req. Under TrackCost the search's access
+// counters are attributed to the index (feeding adaptation's cost-model
+// recalibration) and its modeled cost lands in the per-query cost
+// histogram. A truncated answer is never cached and strikes key's
+// fingerprint: enough blowouts inside the TTL window quarantine it.
+// Rewritten answers bypass the cache (it stores bare ads keyed by the
+// canonical word set) and are counted in the rewrite metrics.
+func (s *Server) answer(ix *adindex.Index, view adindex.View, key, q string, req adindex.Request) (adindex.MatchResult, bool) {
+	// A View pins the epoch and the match results to the same snapshot:
+	// a cache entry can never pair an epoch with results computed against
+	// a different index state, so a stale result is never served.
+	epoch := view.Epoch()
+	if !req.Rewrite {
+		if res, hit := s.cache.Get(key, epoch); hit {
+			res.CostSpent = 0 // a hit spends no index work
+			return res, true
+		}
 	}
-	return res
-}
-
-// searchRewrite answers /search?rewrite=on with approximate broad match:
-// the exact probe plus the planner's typo/synonym variants, each result
-// tagged with how it was reached. Rewrite results bypass the result
-// cache (it stores bare ads keyed by the canonical word set; rewrite
-// answers depend on the vocabulary too) and apply SelectMatches — the
-// discount-aware auction — when the server is configured with Selection.
-func (s *Server) searchRewrite(w http.ResponseWriter, ix *adindex.Index, q string, start time.Time) {
-	answers, ok := s.rewriteQueries(w, ix, ix.View(), []string{q})
-	if !ok {
-		return
+	req.Selection = s.cfg.Selection
+	var matchStart time.Time
+	if s.cfg.TrackCost {
+		req.Counters = new(adindex.Counters)
+		matchStart = time.Now()
 	}
-	a := answers[0]
-	took := time.Since(start)
-	s.writeJSON(w, searchResponse{
-		Query:   q,
-		Type:    "broad",
-		Matched: a.matched,
-		Matches: a.matches,
-		Rewrite: newRewriteStatsJSON(a.stats),
-		TookUS:  took.Microseconds(),
-	})
-	s.metrics.Latency.Observe(time.Since(start))
+	res := view.Search(q, req)
+	if c := req.Counters; c != nil {
+		ix.RecordQueryCost(c, time.Since(matchStart).Nanoseconds())
+		s.metrics.Cost.Observe(c.Cost(ix.Model()))
+	}
+	if req.Rewrite {
+		s.metrics.noteRewrite(res.Rewrite)
+	}
+	switch {
+	case res.Truncated:
+		s.metrics.BudgetTruncated.Add(1)
+		s.quarantine.NoteBudgetBlown(key)
+	case !req.Rewrite:
+		s.cache.Put(key, epoch, res)
+	}
+	return res, false
 }
 
-// rewriteAnswer is one query's approximate broad-match answer: the
-// served matches, the match count before selection, and the expansion
-// stats.
-type rewriteAnswer struct {
-	matches []adindex.Match
-	matched int
-	stats   adindex.RewriteStats
-}
-
-// rewriteQueries runs approximate broad match for every query on view,
-// the shared body of /search?rewrite=on and /search/batch with
-// rewrite=on: each query is observed, rewritten, counted in the rewrite
-// metrics and, with a server Selection, run through SelectMatches. It
-// answers 400 and reports false when ix was built without rewriting.
-func (s *Server) rewriteQueries(w http.ResponseWriter, ix *adindex.Index, view adindex.View, queries []string) ([]rewriteAnswer, bool) {
+// rewriteEnabled reports whether ix serves rewrite=on, answering 400 when
+// it was built without rewriting.
+func (s *Server) rewriteEnabled(w http.ResponseWriter, ix *adindex.Index) bool {
 	if !ix.RewriteEnabled() {
 		s.metrics.BadRequests.Add(1)
 		http.Error(w, "rewrite is not enabled on this index (start with -rewrite)",
 			http.StatusBadRequest)
-		return nil, false
 	}
-	answers := make([]rewriteAnswer, len(queries))
-	for i, q := range queries {
-		ix.Observe(q)
-		matches, rstats := view.BroadMatchRewrite(q)
-		s.metrics.noteRewrite(rstats)
-		answers[i] = rewriteAnswer{matched: len(matches), stats: rstats}
-		if s.cfg.Selection != nil {
-			matches = adindex.SelectMatches(q, matches, *s.cfg.Selection)
-		}
-		answers[i].matches = matches
-	}
-	return answers, true
+	return ix.RewriteEnabled()
 }
 
 // MaxBatchQueries bounds a single /search/batch request.
@@ -763,37 +719,22 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		s.notReady(w)
 		return
 	}
-	view := ix.View()
-	epoch := view.Epoch()
-	if req.Rewrite == "on" {
-		answers, ok := s.rewriteQueries(w, ix, view, req.Queries)
-		if !ok {
-			return
-		}
-		results := make([]batchResult, len(answers))
-		for i, a := range answers {
-			results[i] = batchResult{Query: req.Queries[i], Matched: a.matched, Matches: a.matches}
-		}
-		s.writeJSON(w, batchResponse{
-			Epoch:   epoch,
-			Results: results,
-			TookUS:  time.Since(start).Microseconds(),
-		})
-		s.metrics.Latency.Observe(time.Since(start))
+	rewrite := req.Rewrite == "on"
+	if rewrite && !s.rewriteEnabled(w, ix) {
 		return
 	}
 	// Misses run the same search as /search, unbudgeted, so both endpoints
 	// fill their shared cache entries with the same answer.
+	view := ix.View()
+	epoch := view.Epoch()
 	results := make([]batchResult, len(req.Queries))
 	for i, q := range req.Queries {
 		ix.Observe(q)
-		key := cacheKey("broad", q)
-		res, hit := s.cache.Get(key, epoch)
-		if !hit {
-			res = view.Search(q, adindex.QueryBudget{}, s.cfg.Selection, nil)
-			s.cache.Put(key, epoch, res)
-		}
+		res, hit := s.answer(ix, view, cacheKey("broad", q), q, adindex.Request{Rewrite: rewrite})
 		results[i] = batchResult{Query: q, Matched: res.Matched, Cached: hit, Ads: res.Ads}
+		if rewrite {
+			results[i].Ads, results[i].Matches = nil, res.Matches()
+		}
 	}
 	s.writeJSON(w, batchResponse{
 		Epoch:   epoch,

@@ -1,6 +1,7 @@
 package adindex
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 
@@ -8,7 +9,6 @@ import (
 	"adindex/internal/corpus"
 	"adindex/internal/costmodel"
 	"adindex/internal/rewrite"
-	"adindex/internal/textnorm"
 )
 
 // snapshot is one immutable published state of the index: a base
@@ -80,15 +80,7 @@ func (s *snapshot) materialize() []corpus.Ad {
 	}
 	if len(s.delta) > 0 {
 		ads = append(ads, s.delta...)
-		slices.SortStableFunc(ads, func(a, b corpus.Ad) int {
-			switch {
-			case a.ID < b.ID:
-				return -1
-			case a.ID > b.ID:
-				return 1
-			}
-			return 0
-		})
+		slices.SortStableFunc(ads, func(a, b corpus.Ad) int { return adByID(&a, &b) })
 	}
 	return ads
 }
@@ -107,15 +99,7 @@ func (s *snapshot) fold(opts core.Options) *core.Index {
 	return base
 }
 
-func adByID(a, b *corpus.Ad) int {
-	switch {
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
-	}
-	return 0
-}
+func adByID(a, b *corpus.Ad) int { return cmp.Compare(a.ID, b.ID) }
 
 // filterTombs removes tombstoned base records from dst[mark:] in place,
 // honoring per-key deletion counts (a key deleted twice suppresses two of
@@ -144,58 +128,6 @@ func (s *snapshot) filterTombs(dst []*corpus.Ad, mark int, counters *costmodel.C
 	return dst[:w]
 }
 
-// exactMatch returns pointers to records whose phrase equals the query as
-// a folded token sequence, across base and delta.
-func (s *snapshot) exactMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
-	matches := s.base.ExactMatch(query, counters)
-	if len(s.tombs) > 0 {
-		matches = s.filterTombs(matches, 0, counters)
-	}
-	if len(s.delta) > 0 {
-		qTokens := textnorm.FoldDuplicates(textnorm.Tokenize(query))
-		if len(qTokens) > 0 {
-			n := len(matches)
-			for i := range s.delta {
-				rec := &s.delta[i]
-				if slices.Equal(textnorm.FoldDuplicates(textnorm.Tokenize(rec.Phrase)), qTokens) {
-					matches = append(matches, rec)
-				}
-			}
-			if len(matches) > n {
-				slices.SortFunc(matches, adByID)
-			}
-		}
-	}
-	return matches
-}
-
-// phraseMatch returns pointers to records whose phrase occurs contiguously
-// in the query, across base and delta.
-func (s *snapshot) phraseMatch(query string, counters *costmodel.Counters) []*corpus.Ad {
-	matches := s.base.PhraseMatch(query, counters)
-	if len(s.tombs) > 0 {
-		matches = s.filterTombs(matches, 0, counters)
-	}
-	if len(s.delta) > 0 {
-		qTokens := textnorm.Tokenize(query)
-		qset := textnorm.CanonicalSet(textnorm.FoldDuplicates(qTokens))
-		if len(qset) > 0 {
-			n := len(matches)
-			for i := range s.delta {
-				rec := &s.delta[i]
-				if textnorm.IsSubset(rec.Words, qset) &&
-					textnorm.ContainsContiguous(qTokens, textnorm.Tokenize(rec.Phrase)) {
-					matches = append(matches, rec)
-				}
-			}
-			if len(matches) > n {
-				slices.SortFunc(matches, adByID)
-			}
-		}
-	}
-	return matches
-}
-
 // queryScratch bundles the per-query buffers of the hot path: the
 // canonical query word set, the core enumeration scratch, and the match
 // pointer accumulator. Instances are pooled so a steady-state query
@@ -204,8 +136,10 @@ type queryScratch struct {
 	words   []string
 	core    core.Scratch
 	matches []*corpus.Ad
-	// budget is the per-query cost budget of every broad match (zero
-	// means unbounded), kept here so a query allocates nothing for it.
+	// infos is aligned with matches in a rewritten search.
+	infos []MatchInfo
+	// budget is the per-query cost budget of every search (zero means
+	// unbounded), kept here so a query allocates nothing for it.
 	budget core.Budget
 	// auction is the selection state of Search, SelectAds and
 	// SelectMatches.
@@ -227,6 +161,7 @@ func putScratch(sc *queryScratch) {
 	sc.core.Reset()
 	clear(sc.matches[:cap(sc.matches)])
 	sc.matches = sc.matches[:0]
+	sc.infos = sc.infos[:0]
 	sc.budget = core.Budget{} // drops the caller's clock func
 	clear(sc.auction.excl[:cap(sc.auction.excl)])
 	sc.auction.excl = sc.auction.excl[:0]
@@ -317,7 +252,7 @@ func (v View) BroadMatch(query string) []Ad {
 
 // BroadMatchCounted is BroadMatch with memory-access accounting.
 func (v View) BroadMatchCounted(query string, counters *Counters) []Ad {
-	return v.search(nil, query, QueryBudget{}, nil, counters).Ads
+	return v.search(nil, query, Request{Counters: counters}).Ads
 }
 
 // BroadMatchAppend appends copies of all broad-matching ads to dst,
@@ -325,19 +260,19 @@ func (v View) BroadMatchCounted(query string, counters *Counters) []Ad {
 // slice. Reusing dst across calls keeps the hot path at a single
 // allocation per query (the string arena backing the copies).
 func (v View) BroadMatchAppend(dst []Ad, query string) []Ad {
-	return v.search(dst, query, QueryBudget{}, nil, nil).Ads
+	return v.search(dst, query, Request{}).Ads
 }
 
 // ExactMatch returns ads whose bid phrase equals the query as a normalized
 // token sequence.
 func (v View) ExactMatch(query string) []Ad {
-	return appendAdCopies(nil, v.s.exactMatch(query, nil))
+	return v.Search(query, Request{Kind: Exact}).Ads
 }
 
 // PhraseMatch returns ads whose bid phrase occurs in the query as a
 // contiguous, ordered token subsequence.
 func (v View) PhraseMatch(query string) []Ad {
-	return appendAdCopies(nil, v.s.phraseMatch(query, nil))
+	return v.Search(query, Request{Kind: Phrase}).Ads
 }
 
 // BroadMatch returns copies of all ads whose bid phrases broad-match the

@@ -1,6 +1,7 @@
 package adindex
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -146,12 +147,20 @@ func (s *snapshot) vocabulary() *rewrite.Vocabulary {
 // reported once, tagged with the first variant that found it (plan order
 // is penalty order, so that is its best rewrite). On an index built
 // without Options.Rewrite only the exact probe runs and every result is
-// MatchExact.
+// MatchExact. It is Search with Request.Rewrite set.
 func (v View) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
-	var stats RewriteStats
-	sc := getScratch()
-	sc.words = textnorm.AppendWordSet(sc.words[:0], query)
+	res := v.Search(query, Request{Rewrite: true})
+	return res.Matches(), res.Rewrite
+}
 
+// appendRewrites runs the rewrite probes of the query word set in
+// sc.words into sc.matches, under sc.budget, with sc.infos aligned: the
+// exact probe, then each planned variant until the probe limit or the
+// budget runs out. Every probe appends an ID-ordered segment; one stable
+// sort by ID then restores the global order (plan order among equal IDs)
+// and only the first occurrence of each record is kept.
+func (v View) appendRewrites(sc *queryScratch, counters *Counters) RewriteStats {
+	var stats RewriteStats
 	var variants []rewrite.Variant
 	probeLimit := rewrite.Budget{}.ProbeLimit()
 	if v.rw != nil && len(sc.words) > 0 {
@@ -161,31 +170,12 @@ func (v View) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
 		stats.Clipped = ps.Clipped
 		probeLimit = v.rw.Budget.ProbeLimit()
 	}
-
-	type hit struct {
-		rec  *corpus.Ad
-		info MatchInfo
-	}
-	var hits []hit
-	var seen map[*corpus.Ad]bool
+	sc.matches, sc.infos = sc.matches[:0], sc.infos[:0]
 	probe := func(words []string, info MatchInfo) {
 		stats.Probes++
-		sc.matches = v.s.appendBroadMatch(sc.matches[:0], words, nil, &sc.core, &sc.budget)
-		for _, m := range sc.matches {
-			if seen[m] {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[*corpus.Ad]bool)
-			}
-			seen[m] = true
-			hits = append(hits, hit{rec: m, info: info})
-			switch info.Type {
-			case MatchFuzzy:
-				stats.FuzzyHits++
-			case MatchSynonym:
-				stats.SynonymHits++
-			}
+		sc.matches = v.s.appendMatches(sc.matches, Broad, "", words, counters, &sc.core, &sc.budget)
+		for len(sc.infos) < len(sc.matches) {
+			sc.infos = append(sc.infos, info)
 		}
 	}
 	probe(sc.words, MatchInfo{Type: MatchExact})
@@ -194,29 +184,55 @@ func (v View) BroadMatchRewrite(query string) ([]Match, RewriteStats) {
 			stats.Clipped = true
 			break
 		}
+		if sc.budget.Exhausted() {
+			break
+		}
 		probe(vr.Words, vr.Info)
 	}
-	putScratch(sc)
 
-	// Restore the global ID order broad match guarantees; insertion order
-	// breaks ties so equal-ID duplicates keep their plan-order infos.
-	sort.SliceStable(hits, func(i, j int) bool { return hits[i].rec.ID < hits[j].rec.ID })
-	if len(hits) == 0 {
-		return nil, stats
+	sort.Stable(rewriteHits{sc.matches, sc.infos})
+	w := 0
+	for i, m := range sc.matches {
+		if slices.Contains(sameID(sc.matches[:w], m.ID), m) {
+			continue
+		}
+		sc.matches[w], sc.infos[w] = m, sc.infos[i]
+		w++
+		switch sc.infos[i].Type {
+		case MatchFuzzy:
+			stats.FuzzyHits++
+		case MatchSynonym:
+			stats.SynonymHits++
+		}
 	}
-	need := 0
-	for _, h := range hits {
-		need += len(h.rec.Words) + len(h.rec.Meta.Exclusions)
+	if counters != nil {
+		counters.Matches -= int64(len(sc.matches) - w)
 	}
-	arena := make([]string, 0, need)
-	out := make([]Match, 0, len(hits))
-	for _, h := range hits {
-		m := Match{Ad: *h.rec, Info: h.info}
-		arena, m.Words = appendArena(arena, h.rec.Words)
-		arena, m.Meta.Exclusions = appendArena(arena, h.rec.Meta.Exclusions)
-		out = append(out, m)
+	clear(sc.matches[w:])
+	sc.matches, sc.infos = sc.matches[:w], sc.infos[:w]
+	return stats
+}
+
+// sameID returns the tail of the ID-ordered kept that carries id.
+func sameID(kept []*corpus.Ad, id uint64) []*corpus.Ad {
+	i := len(kept)
+	for i > 0 && kept[i-1].ID == id {
+		i--
 	}
-	return out, stats
+	return kept[i:]
+}
+
+// rewriteHits sorts the rewrite probes' matches by ID with their infos.
+type rewriteHits struct {
+	m    []*corpus.Ad
+	info []MatchInfo
+}
+
+func (h rewriteHits) Len() int           { return len(h.m) }
+func (h rewriteHits) Less(i, j int) bool { return h.m[i].ID < h.m[j].ID }
+func (h rewriteHits) Swap(i, j int) {
+	h.m[i], h.m[j] = h.m[j], h.m[i]
+	h.info[i], h.info[j] = h.info[j], h.info[i]
 }
 
 // BroadMatchRewrite is View.BroadMatchRewrite against the current
